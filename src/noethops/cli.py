@@ -44,6 +44,7 @@ from .poly import (
 )
 from .powers import (
     PrimeData,
+    _ideal_json,
     chain_check,
     diff_power_classical_graded,
     diff_power_new_point,
@@ -480,10 +481,6 @@ def parse_script(text, order_kind="grevlex"):
     return _ScriptParser(text, order_kind).parse()
 
 
-def _ideal_json(I):
-    return [str(g) for g in I.groebner_basis]
-
-
 class _Executor:
     def __init__(self, script, default_bound=None):
         self.script = script
@@ -495,6 +492,11 @@ class _Executor:
 
     def prime_of(self, name):
         return self.script.objects[name][1]
+
+    def bound_of(self, cmd):
+        """The command's own degree bound, else the default; 0 is a bound."""
+        bound = cmd.payload["bound"]
+        return self.default_bound if bound is None else bound
 
     def bind(self, cmd, kind, obj):
         if cmd.bind:
@@ -581,7 +583,7 @@ class _Executor:
                     )
         else:
             I = self.ideal_of(name)
-            bound = cmd.payload["bound"] or self.default_bound
+            bound = self.bound_of(cmd)
             if bound is None:
                 raise ValueError("diffpow --classical requires a degree bound")
             result = diff_power_classical_graded(I, n, bound)
@@ -595,8 +597,7 @@ class _Executor:
 
     def cmd_check_zn(self, cmd):
         p = self.prime_of(cmd.payload["prime"])
-        bound = cmd.payload["bound"] or self.default_bound
-        report = chain_check(p, cmd.payload["n"], agreement_bound=bound)
+        report = chain_check(p, cmd.payload["n"], agreement_bound=self.bound_of(cmd))
         out = {"prime": cmd.payload["prime"]}
         out.update(report.to_json())
         if not report.all_hold():

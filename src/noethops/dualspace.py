@@ -48,10 +48,6 @@ class DualFunctional:
                 total = total + c * fc
         return total
 
-    def act(self, f, point):
-        """Action on f at the point: pair with f(x + point)."""
-        return self.pairing(f.translate(point))
-
     def shift(self, i):
         """Down-shift sigma_i: (sigma_i L)(f) = L(x_i * f)."""
         out = {}
@@ -59,9 +55,6 @@ class DualFunctional:
             if m[i] > 0:
                 out[m[:i] + (m[i] - 1,) + m[i + 1 :]] = c
         return DualFunctional.from_dict(self.ring, out)
-
-    def support_degree(self):
-        return max((sum(m) for m, _ in self.coords), default=-1)
 
     def __str__(self):
         if not self.coords:

@@ -393,9 +393,6 @@ class UniPoly:
         li = invert(self.lead)
         return UniPoly(self.field, [c * li for c in self.coeffs])
 
-    def map_coeffs(self, fn, field):
-        return UniPoly(field, [fn(c) for c in self.coeffs])
-
     def __eq__(self, other):
         if isinstance(other, UniPoly):
             return self.coeffs == other.coeffs and self.field == other.field

@@ -7,12 +7,18 @@ lcm-divisibility criteria plus Buchberger's coprimality criterion, with
 the normal selection strategy (smallest lcm degree, ties broken by the
 monomial order, then by pair index) so runs are deterministic.
 
+Reduction pops the next term from a heap on ``MonomialOrder.heap_key``, a
+flat int tuple computed once per term and never arity-checked (only the
+public ``key`` and ``compare`` check); a cancelled term is skipped when
+popped.  Pending pairs sit in a heap too.
+
 Intersections and saturations go through an auxiliary variable and a
 block elimination order, the standard single-variable constructions.
 """
 
-import threading
+from heapq import heapify, heappop, heappush
 from itertools import combinations_with_replacement, product
+from operator import add, le, neg, sub
 
 from .errors import ArityMismatchError, IncompatibleFieldError
 from .fields import invert
@@ -64,6 +70,15 @@ class MonomialOrder:
         k = self.block
         return (grevlex_key(mono[:k]), grevlex_key(mono[k:]))
 
+    def heap_key(self):
+        """The kernel's unchecked flat key, smaller for bigger monomials."""
+        if self.kind == GREVLEX:
+            return _grevlex_flat
+        if self.kind == LEX:
+            return lambda m: tuple(map(neg, m))
+        k = self.block
+        return lambda m: _grevlex_flat(m[:k]) + _grevlex_flat(m[k:])
+
     def compare(self, m1, m2):
         k1, k2 = self.key(m1), self.key(m2)
         return (k1 > k2) - (k1 < k2)
@@ -88,84 +103,93 @@ class MonomialOrder:
         return self.kind
 
 
-def _mono_shift(terms, shift):
-    return {monomial_mul(m, shift): c for m, c in terms.items()}
+def _grevlex_flat(m):
+    return (-sum(m),) + m[::-1]
 
 
-def _reduce_terms(terms, basis, order):
-    """Full normal form of a term dict against (lt, terms) records sorted
-    ascending by leading monomial; the first divisor found is therefore
-    the one with the smallest leading monomial."""
+def _mono_shift(pairs, shift):
+    return {monomial_mul(m, shift): c for m, c in pairs}
+
+
+def _tail(terms, lt):
+    return tuple((m, c) for m, c in terms.items() if m != lt)
+
+
+def _reduce_terms(terms, basis, hkey):
+    """Full normal form of a term dict against (leading monomial, tail)
+    records sorted ascending by leading monomial; the first divisor found
+    is therefore the one with the smallest leading monomial.  The work
+    set's terms sit in a heap on hkey, so the biggest comes out first."""
     work = dict(terms)
+    heap = [(hkey(m), m) for m in work]
+    heapify(heap)
     out = {}
-    key = order.key
-    while work:
-        m = max(work, key=key)
-        c = work.pop(m)
-        hit = None
-        for lt, gterms in basis:
-            if monomial_divides(lt, m):
-                hit = (lt, gterms)
+    while heap:
+        m = heappop(heap)[1]
+        c = work.pop(m, None)
+        if c is None:  # cancelled after it entered the heap
+            continue
+        for lt, tail in basis:
+            if all(map(le, lt, m)):
                 break
-        if hit is None:
+        else:
             out[m] = c
             continue
-        lt, gterms = hit
-        shift = monomial_div(m, lt)
-        for tm, tc in gterms.items():
-            if tm == lt:
-                continue
-            k2 = monomial_mul(tm, shift)
-            s = work.get(k2)
-            s = -(c * tc) if s is None else s - c * tc
+        shift = tuple(map(sub, m, lt))
+        for tm, tc in tail:
+            k2 = tuple(map(add, tm, shift))
+            old = work.get(k2)
+            s = -(c * tc) if old is None else old - c * tc
             if s:
+                if old is None:
+                    heappush(heap, (hkey(k2), k2))
                 work[k2] = s
-            elif k2 in work:
+            elif old is not None:
                 del work[k2]
     return out
-
-
-def _monic_terms(terms, order):
-    lt = max(terms, key=order.key)
-    inv = invert(terms[lt])
-    return {m: c * inv for m, c in terms.items()}, lt
 
 
 class _GB:
     """Working state for Buchberger with Gebauer-Moller pair pruning."""
 
     def __init__(self, order):
-        self.order = order
+        self.hkey = order.heap_key()
         self.elems = []    # term dicts, monic, never removed
         self.lts = []
+        self.hkeys = []    # heap key of each leading monomial
+        self.tails = []    # each element's terms but its leading one
         self.active = []   # indices with currently minimal leading terms
-        self.pairs = []    # (degree, order key of lcm, i, j, lcm)
+        self.pairs = []    # heap of (degree, -heap key of lcm, i, j, lcm)
+        self.records = None  # active (lt, tail) records, rebuilt after add
 
-    def _basis_records(self):
-        recs = [(self.lts[i], self.elems[i]) for i in self.active]
-        recs.sort(key=lambda r: self.order.key(r[0]))
-        return recs
+    def _sorted_active(self):
+        """Active indices ascending by leading monomial."""
+        return sorted(self.active, key=self.hkeys.__getitem__, reverse=True)
 
     def reduce(self, terms):
-        return _reduce_terms(terms, self._basis_records(), self.order)
+        if self.records is None:
+            self.records = [(self.lts[i], self.tails[i]) for i in self._sorted_active()]
+        return _reduce_terms(terms, self.records, self.hkey)
 
     def add(self, terms):
         """Gebauer-Moller UPDATE with the new monic element."""
-        order = self.order
+        hkey = self.hkey
         h = len(self.elems)
-        terms, lt_h = _monic_terms(terms, order)
+        lt_h = min(terms, key=hkey)
+        inv = invert(terms[lt_h])
+        terms = {m: c * inv for m, c in terms.items()}
         self.elems.append(terms)
         self.lts.append(lt_h)
+        self.hkeys.append(hkey(lt_h))
+        self.tails.append(_tail(terms, lt_h))
+        self.records = None
 
         # candidate pairs (g, h), keeping one representative per minimal lcm
-        cand = []
-        for g in self.active:
-            cand.append((g, monomial_lcm(self.lts[g], lt_h)))
+        cand = [(g, monomial_lcm(self.lts[g], lt_h)) for g in self.active]
         kept = []
         for idx, (g, l) in enumerate(cand):
-            coprime = monomial_mul(self.lts[g], lt_h) == l
             kept_lcms = [l2 for (_, l2, _) in kept]
-            if coprime:
+            if monomial_mul(self.lts[g], lt_h) == l:  # coprime leading terms
                 kept.append((g, l, True))
                 continue
             others = [l2 for k2, (_, l2) in enumerate(cand) if k2 != idx]
@@ -176,25 +200,25 @@ class _GB:
             kept.append((g, l, False))
 
         # prune old pairs whose lcm is strictly killed by lt_h
-        survivors = []
-        for (deg, k, i, j, l) in self.pairs:
-            if not monomial_divides(lt_h, l):
-                survivors.append((deg, k, i, j, l))
-            elif monomial_lcm(self.lts[i], lt_h) == l or monomial_lcm(self.lts[j], lt_h) == l:
-                survivors.append((deg, k, i, j, l))
-        self.pairs = survivors
+        survivors = [
+            (deg, k, i, j, l) for (deg, k, i, j, l) in self.pairs
+            if not monomial_divides(lt_h, l)
+            or monomial_lcm(self.lts[i], lt_h) == l or monomial_lcm(self.lts[j], lt_h) == l
+        ]
         for g, l, coprime in kept:
             if not coprime:
-                self.pairs.append((sum(l), order.key(l), g, h, l))
+                survivors.append((sum(l), tuple(map(neg, hkey(l))), g, h, l))
+        heapify(survivors)
+        self.pairs = survivors
 
         self.active = [g for g in self.active if not monomial_divides(lt_h, self.lts[g])]
         self.active.append(h)
 
     def spoly(self, i, j):
+        # the monic leading terms cancel, so only the tails are shifted
         l = monomial_lcm(self.lts[i], self.lts[j])
-        a = _mono_shift(self.elems[i], monomial_div(l, self.lts[i]))
-        b = _mono_shift(self.elems[j], monomial_div(l, self.lts[j]))
-        for m, c in b.items():
+        a = _mono_shift(self.tails[i], monomial_div(l, self.lts[i]))
+        for m, c in _mono_shift(self.tails[j], monomial_div(l, self.lts[j])).items():
             s = a.get(m)
             s = -c if s is None else s - c
             if s:
@@ -204,31 +228,30 @@ class _GB:
         return a
 
     def run(self, gen_terms):
+        """Reduced basis as (leading monomial, terms, tail) records sorted
+        ascending by leading monomial."""
         for terms in gen_terms:
             red = self.reduce(terms)
             if red:
                 self.add(red)
         while self.pairs:
-            best = min(self.pairs)
-            self.pairs.remove(best)
-            _, _, i, j, _ = best
+            _, _, i, j, _ = heappop(self.pairs)
             red = self.reduce(self.spoly(i, j))
             if red:
                 self.add(red)
         # tail-reduce the minimal basis into the reduced one
-        final = {g: self.elems[g] for g in self.active}
-        for g in list(final):
-            others = [(self.lts[i], final[i]) for i in final if i != g]
-            others.sort(key=lambda r: self.order.key(r[0]))
-            final[g] = _reduce_terms(final[g], others, self.order)
-        polys = sorted(final.values(), key=lambda t: self.order.key(max(t, key=self.order.key)))
-        return polys
+        ascending = self._sorted_active()
+        for g in self.active:
+            others = [(self.lts[i], self.tails[i]) for i in ascending if i != g]
+            self.elems[g] = _reduce_terms(self.elems[g], others, self.hkey)
+            self.tails[g] = _tail(self.elems[g], self.lts[g])
+        return [(self.lts[g], self.elems[g], self.tails[g]) for g in ascending]
 
 
 class Ideal:
     """Generators plus a monomial order and a lazily cached reduced
-    Groebner basis.  Value-like: the basis is computed at most once and
-    published atomically, so concurrent readers never see a partial one."""
+    Groebner basis.  Value-like: the basis is computed at most once, with
+    the (leading monomial, tail) records that normal forms reduce against."""
 
     def __init__(self, ring, generators, order=None):
         gens = []
@@ -243,20 +266,19 @@ class Ideal:
         self.generators = tuple(gens)
         self.order = order if order is not None else MonomialOrder.grevlex(ring)
         self._gb = None
-        self._lock = threading.Lock()
+        self._records = None
 
     @property
     def groebner_basis(self):
         if self._gb is None:
-            with self._lock:
-                if self._gb is None:
-                    state = _GB(self.order)
-                    term_dicts = state.run([dict(g.terms) for g in self.generators])
-                    self._gb = tuple(Polynomial(self.ring, t) for t in term_dicts)
+            recs = _GB(self.order).run([dict(g.terms) for g in self.generators])
+            self._records = [(lt, tail) for lt, _, tail in recs]
+            self._gb = tuple(Polynomial(self.ring, t) for _, t, _ in recs)
         return self._gb
 
     def _gb_records(self):
-        return [(self.order.leading_monomial(g), g.terms) for g in self.groebner_basis]
+        """The basis as ascending (leading monomial, tail) records."""
+        return self._records if self.groebner_basis else []
 
     def normal_form(self, f):
         """Remainder of multivariate division by the reduced basis;
@@ -265,7 +287,8 @@ class Ideal:
             raise IncompatibleFieldError("polynomial from a different ring")
         if not self.generators:
             return f
-        return Polynomial(self.ring, _reduce_terms(f.terms, self._gb_records(), self.order))
+        recs = self._gb_records()
+        return Polynomial(self.ring, _reduce_terms(f.terms, recs, self.order.heap_key()))
 
     def contains(self, f):
         return self.normal_form(f).is_zero()
@@ -278,7 +301,7 @@ class Ideal:
         return len(gb) == 1 and gb[0].total_degree() == 0
 
     def leading_monomials(self):
-        return [self.order.leading_monomial(g) for g in self.groebner_basis]
+        return [lt for lt, _ in self._gb_records()]
 
     def standard_monomials(self):
         """Monomials outside the leading-term ideal, grevlex ascending;

@@ -37,10 +37,6 @@ def rref(rows, ncols):
     return rows[:r], pivots
 
 
-def rank(rows, ncols):
-    return len(rref(rows, ncols)[0])
-
-
 def kernel_basis(rows, ncols, field):
     """Echelonized basis of the right kernel.
 

@@ -251,3 +251,13 @@ def test_comments_and_whitespace():
     """
     report = run(parse_script(text))
     assert report["commands"][0]["basis"] == ["y", "x^2"]
+
+
+def test_bound_zero_is_honoured():
+    head = "field QQ; ring [x, y]; point O = (0, 0); prime m = x, y : point O; "
+    for text, default in (("check-zn m 2 bound 0;", 3), ("check-zn m 2;", 0)):
+        report = run(parse_script(head + text), default_bound=default)
+        entry = report["commands"][0]
+        assert entry["status"] == "ok"
+        agree = [v for v in entry["verdicts"] if v["relation"] == "agrees-on-monomials"]
+        assert [v["note"] for v in agree] == ["all monomials of degree <= 0"]

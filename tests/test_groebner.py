@@ -1,3 +1,4 @@
+import pickle
 import random
 
 import pytest
@@ -252,3 +253,74 @@ def test_standard_monomials():
     assert I.standard_monomials() == [(0, 0), (1, 0)]
     assert ideal(R2, "x").standard_monomials() is None
     assert ideal(R2, "1").standard_monomials() == []
+
+
+R5 = PolyRing(QQ, ["a", "b", "c", "d", "e"])
+
+
+@pytest.mark.parametrize(
+    "order",
+    [MonomialOrder.lex(R5), MonomialOrder.grevlex(R5), MonomialOrder.elimination(R5, 2)],
+    ids=repr,
+)
+def test_heap_key_reverses_order_key(order):
+    rng = random.Random(20191)
+    monos = list({tuple(rng.randint(0, 4) for _ in range(5)) for _ in range(300)})
+    hkey = order.heap_key()
+    assert sorted(monos, key=hkey) == sorted(monos, key=order.key)[::-1]
+
+
+CYCLIC4 = (
+    "a + b + c + d",
+    "a*b + b*c + c*d + d*a",
+    "a*b*c + b*c*d + c*d*a + d*a*b",
+    "a*b*c*d - 1",
+)
+CYCLIC4_BASES = {
+    "lex": [
+        "c^2*d^6 - c^2*d^2 - d^4 + 1",
+        "c^3*d^2 + c^2*d^3 - c - d",
+        "b*d^4 + d^5 - b - d",
+        "c^2*d^4 + b*c - b*d + c*d - 2*d^2",
+        "b^2 + 2*b*d + d^2",
+        "a + b + c + d",
+    ],
+    "grevlex": [
+        "a + b + c + d",
+        "b^2 + 2*b*d + d^2",
+        "b*c^2 + c^2*d - b*d^2 - d^3",
+        "b*c*d^2 + c^2*d^2 - b*d^3 + c*d^3 - d^4 - 1",
+        "b*d^4 + d^5 - b - d",
+        "c^3*d^2 + c^2*d^3 - c - d",
+        "c^2*d^4 + b*c - b*d + c*d - 2*d^2",
+    ],
+    "elimination(2)": [
+        "c^3*d^2 + c^2*d^3 - c - d",
+        "c^2*d^6 - c^2*d^2 - d^4 + 1",
+        "c^2*d^4 + b*c - b*d + c*d - 2*d^2",
+        "b*d^4 + d^5 - b - d",
+        "a + b + c + d",
+        "b^2 + 2*b*d + d^2",
+    ],
+}
+
+
+def test_cyclic4_reduced_bases_pinned():
+    ring = PolyRing(QQ, ["a", "b", "c", "d"])
+    for order in (
+        MonomialOrder.lex(ring),
+        MonomialOrder.grevlex(ring),
+        MonomialOrder.elimination(ring, 2),
+    ):
+        gb = ideal(ring, *CYCLIC4, order=order).groebner_basis
+        assert [str(g) for g in gb] == CYCLIC4_BASES[repr(order)]
+
+
+def test_ideal_with_basis_survives_pickle():
+    I = twisted_cubic()
+    basis = I.groebner_basis
+    J = pickle.loads(pickle.dumps(I))
+    assert J.groebner_basis == basis
+    f = R4.parse("x^2*z - x*y^2 + w")
+    assert J.normal_form(f) == I.normal_form(f)
+    assert J.contains(R4.parse("x*z - y^2"))
