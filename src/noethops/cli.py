@@ -188,7 +188,11 @@ class _ScriptParser:
 
     def parse(self):
         while self.ts.peek()[0] != END:
-            self.statement()
+            pos = self.ts.peek()[2]
+            try:
+                self.statement()
+            except RecursionError:
+                raise ParseError("statement nested too deeply", pos) from None
         if self.script.ring is None and self.script.commands:
             raise ParseError("no ring declared", 0)
         return self.script

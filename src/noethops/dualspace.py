@@ -208,14 +208,31 @@ def _smallest_standard_monomial(I):
         bound += 1
 
 
+def _certified_dual(I, point, safety_bound):
+    """The stable dual, refused unless its dimension equals the number of
+    standard monomials: only then is I primary to the maximal ideal of
+    the point, so that the functionals describe all of I."""
+    basis = stable_dual(I, point, safety_bound)
+    standard = I.standard_monomials()
+    if standard is None or len(standard) != basis.dimension:
+        count = "infinite" if standard is None else len(standard)
+        raise NotZeroDimensionalError(
+            f"stable dual dimension {basis.dimension} disagrees with the "
+            f"standard-monomial count {count}: the ideal is not primary "
+            "to the maximal ideal of the point"
+        )
+    return basis
+
+
 def noetherian_operators(I, point, safety_bound=None):
     """Differential operators describing an m_alpha-primary ideal:
     f lies in I exactly when every operator kills f at the point.
 
     Requires characteristic zero, or positive characteristic small
-    enough that no needed beta! vanishes.
+    enough that no needed beta! vanishes.  Raises NotZeroDimensionalError
+    when I is not primary to the maximal ideal of the point.
     """
-    basis = stable_dual(I, point, safety_bound)
+    basis = _certified_dual(I, point, safety_bound)
     ops = [functional_to_operator(lam) for lam in basis.functionals]
     target = SolTarget.at_point(basis.point)
     witness_mono = _smallest_standard_monomial(I)
@@ -238,13 +255,4 @@ def noetherian_operators(I, point, safety_bound=None):
 def colength(I, point, safety_bound=None):
     """dim of R/I as a vector space, computed from the stable dual and
     cross-checked against the Groebner staircase."""
-    basis = stable_dual(I, point, safety_bound)
-    standard = I.standard_monomials()
-    if standard is None or len(standard) != basis.dimension:
-        count = "infinite" if standard is None else len(standard)
-        raise NotZeroDimensionalError(
-            f"stable dual dimension {basis.dimension} disagrees with the "
-            f"standard-monomial count {count}: the ideal is not primary "
-            "to the maximal ideal of the point"
-        )
-    return basis.dimension
+    return _certified_dual(I, point, safety_bound).dimension

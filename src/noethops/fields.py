@@ -330,8 +330,11 @@ class UniPoly:
         if self.is_zero() or other.is_zero():
             return UniPoly(self.field, [])
         out = [self.field.zero()] * (len(self.coeffs) + len(other.coeffs) - 1)
+        right = [(j, b) for j, b in enumerate(other.coeffs) if b]
         for i, a in enumerate(self.coeffs):
-            for j, b in enumerate(other.coeffs):
+            if not a:
+                continue
+            for j, b in right:
                 out[i + j] = out[i + j] + a * b
         return UniPoly(self.field, out)
 
@@ -546,15 +549,15 @@ class RatFunc:
     def __init__(self, field, num, den):
         if den.is_zero():
             raise ZeroDivisionError("rational function with zero denominator")
-        g = uni_gcd(num, den)
-        if not g.is_zero() and not g.is_one():
-            num = num // g
-            den = den // g
-        li = invert(den.lead)
-        if den.lead != den.field.one():
-            scale = UniPoly.const(den.field, li)
-            num = num * scale
-            den = den * scale
+        if not den.is_one():
+            g = uni_gcd(num, den)
+            if not g.is_zero() and not g.is_one():
+                num = num // g
+                den = den // g
+            if den.lead != den.field.one():
+                scale = UniPoly.const(den.field, invert(den.lead))
+                num = num * scale
+                den = den * scale
         self.field = field
         self.num = num
         self.den = den

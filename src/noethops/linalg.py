@@ -58,16 +58,3 @@ def kernel_basis(rows, ncols, field):
         basis.append(v)
     return basis
 
-
-def reduce_against(vec, reduced, pivots):
-    """Residue of vec modulo the row span of an rref matrix."""
-    v = list(vec)
-    for row, pc in zip(reduced, pivots):
-        if v[pc]:
-            factor = v[pc]
-            v = [a - factor * b for a, b in zip(v, row)]
-    return v
-
-
-def in_row_span(vec, reduced, pivots):
-    return not any(reduce_against(vec, reduced, pivots))

@@ -171,13 +171,13 @@ def diff_power_new_point(J, point, n):
     return ideal_sum(J, ideal_power(maximal, n))
 
 
-def _vanishing_order_at_root(F, u, minimum):
-    """Largest e <= minimum with (x - u)^e dividing F, by repeated
+def _vanishing_order_at_root(F, u):
+    """Largest e with (x - u)^e dividing the nonzero F, by repeated
     division by the monic linear factor."""
     L = u.field
     linear = UniPoly(L, [-u, L.one()])
     count = 0
-    while count < minimum and not F.is_zero():
+    while not F.is_zero():
         F, rem = divmod(F, linear)
         if not rem.is_zero():
             break
@@ -190,25 +190,20 @@ def diff_power_new_univariate(p, n):
     {f : (x - u)^n divides f in L[x]}, L = K[x]/(m) with root u.
 
     The contraction is a principal ideal whose monic generator divides
-    m^n; with m irreducible that generator is a power of m, so the
-    minimal-degree multiple of m passing the divisibility test is found
-    by scanning m, m^2, ..., m^n.
+    m^n; with m irreducible that generator is a power m^j.  L[x] is a UFD
+    and (x - u)^e exactly divides m for e = ord_u(m), so ord_u(m^j) = j*e
+    and the least j with j*e >= n is ceil(n / e).  When m is inseparable
+    (x^p - t over F_p(t)) e exceeds 1 and the power drops below n.
     """
     if p.kind != UNIVARIATE:
         raise ValueError("univariate solution-set power needs a univariate prime")
     if n < 1:
         raise ValueError("differential power requires n >= 1")
-    ring = p.ring
-    K = ring.field
-    m_uni = to_unipoly(p.minpoly)
-    L = AlgExtField(K, "u", m_uni)
-    u = L.generator()
+    K = p.ring.field
+    L = AlgExtField(K, "u", to_unipoly(p.minpoly))
     m_ext = to_unipoly(p.minpoly, target_field=L, embed=L.coerce)
-    for j in range(1, n + 1):
-        if _vanishing_order_at_root(m_ext**j, u, n) >= n:
-            return ideal_power(p.ideal, j)
-    # unreachable: (x - u)^n always divides m^n
-    raise AssertionError("divisibility scan failed at j = n")
+    e = _vanishing_order_at_root(m_ext, L.generator())
+    return ideal_power(p.ideal, -(-n // e))
 
 
 VERDICT_SUBSET = "subset"

@@ -12,7 +12,7 @@ from noethops.fields import GF, QQ, RatFuncField
 from noethops.groebner import Ideal, ideal, ideal_equal, ideal_power, saturate
 from noethops.poly import PolyRing, monomials_up_to
 from noethops.dualspace import noetherian_operators, stable_dual
-from noethops.linalg import in_row_span, rref
+from noethops.linalg import rref
 from noethops.powers import (
     PrimeData,
     chain_check,
@@ -25,7 +25,7 @@ from noethops.powers import (
 from noethops.weyl import sol_membership
 
 from _oracles import TruncatedMembershipOracle
-from conftest import random_poly
+from conftest import in_row_span, random_poly
 from test_weyl import random_op
 
 R2 = PolyRing(QQ, ["x", "y"])

@@ -181,6 +181,16 @@ def test_main_parse_error(tmp_path, capsys):
     assert "nope" in err
 
 
+def test_main_deep_nesting_is_an_input_error(tmp_path, capsys):
+    path = tmp_path / "deep.ca"
+    path.write_text("field QQ; ring [x]; ideal I = " + "(" * 1000 + "x" + ")" * 1000 + ";")
+    code = main(["run", str(path)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "nested too deeply (at position 20)" in err
+    assert "Traceback" not in err
+
+
 def test_main_examples(capsys):
     code = main(["examples"])
     out = capsys.readouterr().out

@@ -17,12 +17,12 @@ from noethops.errors import (
 )
 from noethops.fields import GF, QQ
 from noethops.groebner import ideal
-from noethops.linalg import rref, in_row_span
+from noethops.linalg import rref
 from noethops.poly import PolyRing, monomials_up_to
 from noethops.weyl import sol_membership
 
 from _oracles import macaulay_kernel_dimension
-from conftest import random_poly
+from conftest import in_row_span, random_poly
 
 R = PolyRing(QQ, ["x", "y"])
 ORIGIN = (QQ.zero(), QQ.zero())
@@ -190,6 +190,17 @@ def test_colength_detects_wrong_point():
     # (x - 1) is not primary at the origin; the staircase disagrees
     with pytest.raises(NotZeroDimensionalError):
         colength(ideal(R, "x - 1", "y"), ORIGIN)
+
+
+R1 = PolyRing(QQ, ["x"])
+
+
+@pytest.mark.parametrize("gen", ["x - 1", "x*(x - 1)", "x^2*(x - 1)"])
+def test_noetherian_operators_refuse_non_primary(gen):
+    # the local dual at 0 misses the component at x = 1: the staircase
+    # has one more monomial than the dual has functionals
+    with pytest.raises(NotZeroDimensionalError, match="standard-monomial count"):
+        noetherian_operators(ideal(R1, gen), (QQ.zero(),))
 
 
 def test_duality_dimension_equals_staircase():

@@ -12,6 +12,7 @@ from noethops.fields import (
     GF,
     QQ,
     AlgExtField,
+    RatFunc,
     RatFuncField,
     UniPoly,
     field_of,
@@ -136,14 +137,27 @@ def test_field_axioms(field):
 
 
 def test_ratfunc_normalization_idempotent(rng):
-    from noethops.fields import RatFunc
-
     for _ in range(100):
         a = random_elem(F2T, rng)
         again = RatFunc(F2T, a.num, a.den)
         assert again.num == a.num and again.den == a.den
         assert a.den.lead == GF(2).one()
         assert uni_gcd(a.num, a.den).degree <= 0
+
+
+@pytest.mark.parametrize("field", [F2T, QT, RatFuncField(F5, "t")], ids=repr)
+def test_ratfunc_unit_denominator_is_canonical(field, rng):
+    # num/1 is stored as given; (num*d)/d reaches the same form through gcd
+    # cancellation and rescaling, and must compare and hash the same
+    one = UniPoly.const(field.base, field.base.one())
+    for _ in range(20):
+        num = UniPoly(field.base, [random_elem(field.base, rng) for _ in range(rng.randint(0, 4))])
+        d = UniPoly(field.base, [random_nonzero(field.base, rng) for _ in range(rng.randint(1, 3))])
+        direct = RatFunc(field, num, one)
+        reduced = RatFunc(field, num * d, d)
+        assert direct == reduced
+        assert hash(direct) == hash(reduced)
+        assert (direct.num, direct.den) == (reduced.num, reduced.den)
 
 
 def test_prime_field_validation():

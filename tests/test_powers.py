@@ -1,11 +1,13 @@
+import random
 from fractions import Fraction
+from math import isqrt
 
 import pytest
 
 from noethops.errors import PointNotOnVarietyError, UnsupportedCharacteristicError
-from noethops.fields import GF, QQ, RatFuncField
+from noethops.fields import GF, QQ, AlgExtField, RatFuncField, UniPoly
 from noethops.groebner import Ideal, ideal, ideal_equal, ideal_power, saturate
-from noethops.poly import PolyRing, monomials_up_to
+from noethops.poly import PolyRing, monomials_up_to, to_unipoly
 from noethops.powers import (
     PrimeData,
     chain_check,
@@ -133,6 +135,57 @@ def test_new_univariate_separable_control():
     assert ideal_equal(got, ideal_power(prime.ideal, 2))
     got3 = diff_power_new_univariate(prime, 3)
     assert ideal_equal(got3, ideal_power(prime.ideal, 3))
+
+
+def _scanned_power_exponent(prime, n):
+    """Least j with (x - u)^n dividing m^j in L[x], by trying m, m^2, ..."""
+    L = AlgExtField(prime.ring.field, "u", to_unipoly(prime.minpoly))
+    m = to_unipoly(prime.minpoly, target_field=L, embed=L.coerce)
+    linear = UniPoly(L, [-L.generator(), L.one()])
+    for j in range(1, n + 1):
+        F = m**j
+        for _ in range(n):
+            F, rem = divmod(F, linear)
+            if rem:
+                break
+        else:
+            return j
+    raise AssertionError("(x - u)^n does not divide m^n")
+
+
+def _random_irreducible_over_qq(rng, degree):
+    """Monic x^2 + b x + c with non-square discriminant, or a monic cubic
+    with no integer root: a rational root of a monic integer cubic is an
+    integer dividing the constant term, so |root| <= 9 or root = 0."""
+    while True:
+        coeffs = [rng.randint(-9, 9) for _ in range(degree)]
+        if degree == 2:
+            disc = coeffs[1] ** 2 - 4 * coeffs[0]
+            if disc < 0 or isqrt(disc) ** 2 != disc:
+                break
+        elif all(sum(c * r**i for i, c in enumerate(coeffs)) + r**3 for r in range(-9, 10)):
+            break
+    S = PolyRing(QQ, ["x"])
+    terms = " + ".join(f"({c})*x^{i}" for i, c in enumerate(coeffs))
+    return PrimeData.univariate(S.parse(f"x^{degree} + {terms}"))
+
+
+def test_new_univariate_matches_power_scan():
+    rng = random.Random(20261018)
+    cases = []
+    for p in (2, 3, 5, 7):
+        S = PolyRing(RatFuncField(GF(p), "t"), ["x"])
+        for _ in range(2):
+            a, b = rng.randrange(1, p), rng.randrange(p)
+            prime = PrimeData.univariate(S.parse(f"x^{p} - ({a}*t + {b})"))
+            cases += [(prime, n) for n in range(1, 2 * p + 1)]
+    for degree in (2, 3):
+        for _ in range(3):
+            prime = _random_irreducible_over_qq(rng, degree)
+            cases += [(prime, n) for n in (1, 2, rng.randint(3, 4))]
+    for prime, n in cases:
+        j = _scanned_power_exponent(prime, n)
+        assert ideal_equal(diff_power_new_univariate(prime, n), ideal_power(prime.ideal, j))
 
 
 def test_chain_check_rational_point_all_equal():
