@@ -42,6 +42,7 @@ from .powers import (
     chain_check,
     diff_power_classical_graded,
     diff_power_classical_member,
+    diff_power_new,
     diff_power_new_point,
     diff_power_new_univariate,
     symbolic_power,

@@ -10,9 +10,11 @@ issues commands against them::
     noeth I at P;
 
 Statements end with ';' and '#' starts a comment.  Commands may bind
-their resulting ideal or polynomial to a new name with ``as N``.  Output
-is deterministic: generator lists are reduced Groebner bases sorted
-ascending by leading monomial, and JSON reports carry ``schema: 1``.
+their resulting ideal or polynomial to a new name with ``as N``; later
+commands take a bound ideal as an argument, but no expression can read a
+bound name.  Output is deterministic: generator lists are reduced
+Groebner bases sorted ascending by leading monomial, and JSON reports
+carry ``schema: 1``.
 
 Exit codes: 0 ok, 1 failed assertion or failed chain verdict, 2 input
 error, 3 unsupported computation.
@@ -47,12 +49,23 @@ from .powers import (
     _ideal_json,
     chain_check,
     diff_power_classical_graded,
+    diff_power_new,
     diff_power_new_point,
-    diff_power_new_univariate,
     symbolic_power,
 )
 
 SCHEMA_VERSION = 1
+
+# The statement keywords.  The parser's stmt_<keyword> method ('-' read
+# as '_') parses a statement: declarations are evaluated while parsing,
+# every other statement returns the payload of a command that the
+# executor's cmd_<keyword> method runs.  Each COMMANDS keyword is also a
+# subcommand that runs only the commands of that kind.
+DECLARATIONS = ("field", "ring", "poly", "ideal", "point", "prime")
+COMMANDS = ("gb", "nf", "sat", "intersect", "noeth", "sympow", "diffpow", "check-zn")
+ASSERTIONS = ("assert-equal", "assert-member")
+KEYWORDS = DECLARATIONS + COMMANDS + ASSERTIONS
+IDEAL_KINDS = {"ideal", "prime"}
 
 
 def _strip_comments(text):
@@ -101,7 +114,8 @@ def parse_field_descriptor(ts):
 
 class _ScriptPolyParser(_PolyParser):
     """Polynomial expressions inside scripts may also reference declared
-    poly objects by name (ring variables and field generators win)."""
+    poly objects by name (ring variables and field generators win), but
+    not names bound by a command, whose values exist only once it runs."""
 
     def __init__(self, ts, ring, script):
         super().__init__(ts, ring)
@@ -115,7 +129,12 @@ class _ScriptPolyParser(_PolyParser):
             and tok[1] not in self.generators
         ):
             entry = self.script.objects.get(tok[1])
-            if entry is not None and entry[0] == "poly" and entry[1] is not None:
+            if entry is not None and entry[1] is None:
+                raise ParseError(
+                    f"{tok[1]!r} is a command result and cannot appear in an expression",
+                    tok[2],
+                )
+            if entry is not None and entry[0] == "poly":
                 self.ts.next()
                 return entry[1]
         return super().parse_atom()
@@ -164,24 +183,17 @@ class Script:
         return obj
 
     def as_ideal(self, name, pos):
-        obj = self.lookup(name, {"ideal", "prime"}, pos)
+        """The ideal an ideal or prime name holds once the script runs."""
+        obj = self.lookup(name, IDEAL_KINDS, pos)
+        if obj is None:
+            raise UndeclaredNameError(
+                f"{name!r} is unbound: the command that binds it failed or did not run",
+                pos,
+            )
         return obj.ideal if isinstance(obj, PrimeData) else obj
 
 
 class _ScriptParser:
-    COMMAND_KINDS = {
-        "gb",
-        "nf",
-        "sat",
-        "intersect",
-        "noeth",
-        "sympow",
-        "diffpow",
-        "check-zn",
-        "assert-equal",
-        "assert-member",
-    }
-
     def __init__(self, text, order_kind="grevlex"):
         self.ts = TokenStream(tokenize(_strip_comments(text), symbols="+-*/^(),;=:[]"))
         self.script = Script(order_kind)
@@ -202,8 +214,10 @@ class _ScriptParser:
     def _keyword(self):
         tok = self.ts.expect(NAME)
         word = tok[1]
-        # hyphenated command names arrive as NAME '-' NAME
-        while self.ts.peek()[:2] == (SYM, "-") and f"{word}-" in {"check-", "assert-"}:
+        # hyphenated keywords arrive as NAME '-' NAME
+        while self.ts.peek()[:2] == (SYM, "-") and any(
+            k.startswith(word + "-") for k in KEYWORDS
+        ):
             self.ts.next()
             word += "-" + self.ts.expect(NAME)[1]
         return word, tok[2]
@@ -259,34 +273,15 @@ class _ScriptParser:
     def _end(self):
         self.ts.expect(SYM, ";")
 
-    def _add(self, cmd):
-        self.script.commands.append(cmd)
-
     # -- statements -------------------------------------------------------
 
     def statement(self):
         word, pos = self._keyword()
-        handler = {
-            "field": self.stmt_field,
-            "ring": self.stmt_ring,
-            "poly": self.stmt_poly,
-            "ideal": self.stmt_ideal,
-            "point": self.stmt_point,
-            "prime": self.stmt_prime,
-            "gb": self.stmt_gb,
-            "nf": self.stmt_nf,
-            "sat": self.stmt_sat,
-            "intersect": self.stmt_intersect,
-            "noeth": self.stmt_noeth,
-            "sympow": self.stmt_sympow,
-            "diffpow": self.stmt_diffpow,
-            "check-zn": self.stmt_check_zn,
-            "assert-equal": self.stmt_assert_equal,
-            "assert-member": self.stmt_assert_member,
-        }.get(word)
-        if handler is None:
+        if word not in KEYWORDS:
             raise ParseError(f"unknown statement {word!r}", pos)
-        handler(pos)
+        payload = getattr(self, "stmt_" + word.replace("-", "_"))(pos)
+        if word not in DECLARATIONS:
+            self.script.commands.append(Command(word, pos, **payload))
 
     def stmt_field(self, pos):
         self.script.field = parse_field_descriptor(self.ts)
@@ -367,8 +362,8 @@ class _ScriptParser:
         tok = self.ts.expect(NAME)
         bind = self._maybe_bind("ideal")
         self._end()
-        self.script.as_ideal(tok[1], tok[2])
-        self._add(Command("gb", pos, bind=bind, ideal=tok[1]))
+        self.script.lookup(tok[1], IDEAL_KINDS, tok[2])
+        return dict(bind=bind, ideal=tok[1])
 
     def stmt_nf(self, pos):
         f = self._parse_poly(pos)
@@ -376,8 +371,8 @@ class _ScriptParser:
         tok = self.ts.expect(NAME)
         bind = self._maybe_bind("poly")
         self._end()
-        self.script.as_ideal(tok[1], tok[2])
-        self._add(Command("nf", pos, bind=bind, poly=f, ideal=tok[1]))
+        self.script.lookup(tok[1], IDEAL_KINDS, tok[2])
+        return dict(bind=bind, poly=f, ideal=tok[1])
 
     def stmt_sat(self, pos):
         tok = self.ts.expect(NAME)
@@ -385,8 +380,8 @@ class _ScriptParser:
         s = self._parse_poly(pos)
         bind = self._maybe_bind("ideal")
         self._end()
-        self.script.as_ideal(tok[1], tok[2])
-        self._add(Command("sat", pos, bind=bind, ideal=tok[1], witness=s))
+        self.script.lookup(tok[1], IDEAL_KINDS, tok[2])
+        return dict(bind=bind, ideal=tok[1], witness=s)
 
     def stmt_intersect(self, pos):
         tok1 = self.ts.expect(NAME)
@@ -394,9 +389,9 @@ class _ScriptParser:
         tok2 = self.ts.expect(NAME)
         bind = self._maybe_bind("ideal")
         self._end()
-        self.script.as_ideal(tok1[1], tok1[2])
-        self.script.as_ideal(tok2[1], tok2[2])
-        self._add(Command("intersect", pos, bind=bind, left=tok1[1], right=tok2[1]))
+        self.script.lookup(tok1[1], IDEAL_KINDS, tok1[2])
+        self.script.lookup(tok2[1], IDEAL_KINDS, tok2[2])
+        return dict(bind=bind, left=tok1[1], right=tok2[1])
 
     def stmt_noeth(self, pos):
         tok = self.ts.expect(NAME)
@@ -405,8 +400,8 @@ class _ScriptParser:
             raise ParseError("expected 'at' in noeth command", at[2])
         point = self._parse_point_ref(pos)
         self._end()
-        self.script.as_ideal(tok[1], tok[2])
-        self._add(Command("noeth", pos, ideal=tok[1], point=point))
+        self.script.lookup(tok[1], IDEAL_KINDS, tok[2])
+        return dict(ideal=tok[1], point=point)
 
     def stmt_sympow(self, pos):
         tok = self.ts.expect(NAME)
@@ -414,7 +409,7 @@ class _ScriptParser:
         bind = self._maybe_bind("ideal")
         self._end()
         self.script.lookup(tok[1], {"prime"}, tok[2])
-        self._add(Command("sympow", pos, bind=bind, prime=tok[1], n=n))
+        return dict(bind=bind, prime=tok[1], n=n)
 
     def stmt_diffpow(self, pos):
         self.ts.expect(SYM, "-")
@@ -437,18 +432,9 @@ class _ScriptParser:
         if variant[1] == "new" and point is None:
             self.script.lookup(tok[1], {"prime"}, tok[2])
         else:
-            self.script.as_ideal(tok[1], tok[2])
-        self._add(
-            Command(
-                "diffpow",
-                pos,
-                bind=bind,
-                variant=variant[1],
-                name=tok[1],
-                point=point,
-                n=n,
-                bound=bound,
-            )
+            self.script.lookup(tok[1], IDEAL_KINDS, tok[2])
+        return dict(
+            bind=bind, variant=variant[1], name=tok[1], point=point, n=n, bound=bound
         )
 
     def stmt_check_zn(self, pos):
@@ -460,24 +446,24 @@ class _ScriptParser:
             bound = self.ts.expect(INT)[1]
         self._end()
         self.script.lookup(tok[1], {"prime"}, tok[2])
-        self._add(Command("check-zn", pos, prime=tok[1], n=n, bound=bound))
+        return dict(prime=tok[1], n=n, bound=bound)
 
     def stmt_assert_equal(self, pos):
         tok1 = self.ts.expect(NAME)
         self.ts.expect(SYM, ",")
         tok2 = self.ts.expect(NAME)
         self._end()
-        self.script.as_ideal(tok1[1], tok1[2])
-        self.script.as_ideal(tok2[1], tok2[2])
-        self._add(Command("assert-equal", pos, left=tok1[1], right=tok2[1]))
+        self.script.lookup(tok1[1], IDEAL_KINDS, tok1[2])
+        self.script.lookup(tok2[1], IDEAL_KINDS, tok2[2])
+        return dict(left=tok1[1], right=tok2[1])
 
     def stmt_assert_member(self, pos):
         f = self._parse_poly(pos)
         self.ts.expect(SYM, ",")
         tok = self.ts.expect(NAME)
         self._end()
-        self.script.as_ideal(tok[1], tok[2])
-        self._add(Command("assert-member", pos, poly=f, ideal=tok[1]))
+        self.script.lookup(tok[1], IDEAL_KINDS, tok[2])
+        return dict(poly=f, ideal=tok[1])
 
 
 def parse_script(text, order_kind="grevlex"):
@@ -490,9 +476,8 @@ class _Executor:
         self.script = script
         self.default_bound = default_bound
 
-    def ideal_of(self, name):
-        kind, obj = self.script.objects[name]
-        return obj.ideal if isinstance(obj, PrimeData) else obj
+    def ideal_of(self, cmd, key):
+        return self.script.as_ideal(cmd.payload[key], cmd.pos)
 
     def prime_of(self, name):
         return self.script.objects[name][1]
@@ -511,13 +496,13 @@ class _Executor:
         return method(cmd)
 
     def cmd_gb(self, cmd):
-        I = self.ideal_of(cmd.payload["ideal"])
+        I = self.ideal_of(cmd, "ideal")
         basis = list(I.groebner_basis)
         self.bind(cmd, "ideal", Ideal(I.ring, basis, I.order))
         return {"ideal": cmd.payload["ideal"], "basis": [str(g) for g in basis]}
 
     def cmd_nf(self, cmd):
-        I = self.ideal_of(cmd.payload["ideal"])
+        I = self.ideal_of(cmd, "ideal")
         r = I.normal_form(cmd.payload["poly"])
         self.bind(cmd, "poly", r)
         return {
@@ -527,7 +512,7 @@ class _Executor:
         }
 
     def cmd_sat(self, cmd):
-        I = self.ideal_of(cmd.payload["ideal"])
+        I = self.ideal_of(cmd, "ideal")
         result = saturate(I, cmd.payload["witness"])
         self.bind(cmd, "ideal", result)
         return {
@@ -537,9 +522,7 @@ class _Executor:
         }
 
     def cmd_intersect(self, cmd):
-        result = intersect(
-            self.ideal_of(cmd.payload["left"]), self.ideal_of(cmd.payload["right"])
-        )
+        result = intersect(self.ideal_of(cmd, "left"), self.ideal_of(cmd, "right"))
         self.bind(cmd, "ideal", result)
         return {
             "left": cmd.payload["left"],
@@ -548,7 +531,7 @@ class _Executor:
         }
 
     def cmd_noeth(self, cmd):
-        I = self.ideal_of(cmd.payload["ideal"])
+        I = self.ideal_of(cmd, "ideal")
         res = noetherian_operators(I, cmd.payload["point"])
         out = {"ideal": cmd.payload["ideal"]}
         out.update(res.to_json())
@@ -570,23 +553,12 @@ class _Executor:
         name = cmd.payload["name"]
         if variant == "new":
             if cmd.payload["point"] is not None:
-                J = self.ideal_of(name)
+                J = self.ideal_of(cmd, "name")
                 result = diff_power_new_point(J, cmd.payload["point"], n)
             else:
-                p = self.prime_of(name)
-                if p.kind == "univariate-algebraic":
-                    result = diff_power_new_univariate(p, n)
-                elif p.kind == "rational-point":
-                    result = diff_power_new_point(
-                        Ideal(p.ring, [], p.ideal.order), p.point, n
-                    )
-                else:
-                    raise UnsupportedCharacteristicError(
-                        "solution-set differential powers need a rational-point "
-                        "or univariate-algebraic prime"
-                    )
+                result = diff_power_new(self.prime_of(name), n)
         else:
-            I = self.ideal_of(name)
+            I = self.ideal_of(cmd, "name")
             bound = self.bound_of(cmd)
             if bound is None:
                 raise ValueError("diffpow --classical requires a degree bound")
@@ -609,8 +581,8 @@ class _Executor:
         return out
 
     def cmd_assert_equal(self, cmd):
-        left = self.ideal_of(cmd.payload["left"])
-        right = self.ideal_of(cmd.payload["right"])
+        left = self.ideal_of(cmd, "left")
+        right = self.ideal_of(cmd, "right")
         ok = ideal_equal(left, right)
         return {
             "left": cmd.payload["left"],
@@ -620,7 +592,7 @@ class _Executor:
         }
 
     def cmd_assert_member(self, cmd):
-        I = self.ideal_of(cmd.payload["ideal"])
+        I = self.ideal_of(cmd, "ideal")
         ok = I.contains(cmd.payload["poly"])
         return {
             "poly": str(cmd.payload["poly"]),
@@ -812,38 +784,27 @@ def main(argv=None):
         "spaces and differential powers of ideals.",
     )
     sub = parser.add_subparsers(dest="subcommand", required=True)
-    script_commands = [
-        ("run", None, "run every command in a script"),
-        ("gb", "gb", "run only the gb commands of a script"),
-        ("nf", "nf", "run only the nf commands of a script"),
-        ("sat", "sat", "run only the sat commands of a script"),
-        ("intersect", "intersect", "run only the intersect commands of a script"),
-        ("noeth", "noeth", "run only the noeth commands of a script"),
-        ("sympow", "sympow", "run only the sympow commands of a script"),
-        ("diffpow", "diffpow", "run only the diffpow commands of a script"),
-        ("check-zn", "check-zn", "run only the check-zn commands of a script"),
-    ]
-    for name, _, help_text in script_commands:
+    subcommands = [("run", "run every command in a script")]
+    subcommands += [(kind, f"run only the {kind} commands of a script") for kind in COMMANDS]
+    subcommands.append(("examples", "run the built-in regression scripts"))
+    for name, help_text in subcommands:
         p = sub.add_parser(name, help=help_text)
-        p.add_argument("script", help="script path, or - for stdin")
+        if name != "examples":
+            p.add_argument("script", help="script path, or - for stdin")
         p.add_argument("--json", action="store_true", help="JSON output")
         p.add_argument("--order", choices=["lex", "grevlex"], default="grevlex")
         p.add_argument("--bound", type=int, default=None, help="default degree bound")
-    p = sub.add_parser("examples", help="run the built-in regression scripts")
-    p.add_argument("--json", action="store_true")
-    p.add_argument("--order", choices=["lex", "grevlex"], default="grevlex")
-    p.add_argument("--bound", type=int, default=None)
     args = parser.parse_args(argv)
 
     if args.subcommand == "examples":
         scripts = []
         worst = 0
+        priority = {0: 0, 1: 1, 3: 2, 2: 3}
         for name, text in EXAMPLE_SCRIPTS:
             script = parse_script(text, order_kind=args.order)
             report = run(script, default_bound=args.bound)
             scripts.append({"name": name, **report})
             code = report["status"]["exit_code"]
-            priority = {0: 0, 1: 1, 3: 2, 2: 3}
             if priority[code] > priority[worst]:
                 worst = code
         if args.json:
@@ -855,7 +816,7 @@ def main(argv=None):
                 print(f"{entry['name']}: {ok}")
         return worst
 
-    only = dict((name, kind) for name, kind, _ in script_commands)[args.subcommand]
+    only = None if args.subcommand == "run" else args.subcommand
     try:
         text = _read_script(args.script)
     except OSError as exc:

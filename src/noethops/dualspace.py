@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from math import factorial
 
 from .errors import NotZeroDimensionalError, UnsupportedCharacteristicError
-from .fields import format_elem, invert
+from .fields import format_elem, invert, monomial_text
 from .linalg import kernel_basis
 from .poly import grevlex_key, monomial_divides, monomial_mul, monomials_up_to
 from .weyl import DiffOp, SolTarget
@@ -59,12 +59,9 @@ class DualFunctional:
     def __str__(self):
         if not self.coords:
             return "0"
-        names = self.ring.variables
         pieces = []
         for m, c in self.coords:
-            mono = "*".join(
-                n if e == 1 else f"{n}^{e}" for n, e in zip(names, m) if e
-            ) or "1"
+            mono = monomial_text(self.ring.variables, m) or "1"
             cs = format_elem(c)
             pieces.append(f"e[{mono}]" if cs == "1" else f"{cs}*e[{mono}]")
         return " + ".join(pieces)

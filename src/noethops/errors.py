@@ -34,7 +34,8 @@ class UnknownVariableError(ParseError):
 
 
 class UndeclaredNameError(ParseError):
-    """Script command referencing an object that was never declared."""
+    """Script command referencing an object that was never declared, or
+    a name whose binding command failed or did not run."""
 
 
 class ArityMismatchError(NoethopsError, ValueError):

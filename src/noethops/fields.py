@@ -412,34 +412,11 @@ class UniPoly:
         return hash(self.coeffs)
 
     def to_str(self, var):
-        if not self.coeffs:
-            return "0"
-        parts = []
-        for i in range(len(self.coeffs) - 1, -1, -1):
-            c = self.coeffs[i]
-            if not c:
-                continue
-            if i == 0:
-                mono = None
-            elif i == 1:
-                mono = var
-            else:
-                mono = f"{var}^{i}"
-            cs = format_elem(c)
-            sign = "+"
-            if cs.startswith("-") and not _needs_parens(cs[1:]):
-                sign, cs = "-", cs[1:]
-            if mono is None:
-                body = f"({cs})" if _needs_parens(cs) else cs
-            elif cs == "1":
-                body = mono
-            else:
-                body = (f"({cs})" if _needs_parens(cs) else cs) + "*" + mono
-            parts.append((sign, body))
-        out = parts[0][1] if parts[0][0] == "+" else "-" + parts[0][1]
-        for sign, body in parts[1:]:
-            out += f" {sign} {body}"
-        return out
+        return format_terms(
+            (c, monomial_text((var,), (i,)))
+            for i, c in reversed(tuple(enumerate(self.coeffs)))
+            if c
+        )
 
     def __repr__(self):
         return self.to_str("T")
@@ -842,3 +819,34 @@ def _needs_parens(s):
         elif ch == "-" and i == 0 and depth == 0:
             return True
     return False
+
+
+def monomial_text(names, exps):
+    """'x^2*y' for names (x, y) and exponents (2, 1); '' when all are 0."""
+    return "*".join(n if e == 1 else f"{n}^{e}" for n, e in zip(names, exps) if e)
+
+
+def format_terms(terms):
+    """Signed sum of (coefficient, monomial text) pairs in display order,
+    'c*m + ... - c*m'; an empty monomial text marks the constant term, and
+    no pairs format as '0'.  Coefficients with a top-level sign go in
+    parentheses."""
+    out = ""
+    for c, mono in terms:
+        cs = format_elem(c)
+        sign = "+"
+        if cs.startswith("-") and not _needs_parens(cs[1:]):
+            sign, cs = "-", cs[1:]
+        if _needs_parens(cs):
+            cs = f"({cs})"
+        if not mono:
+            body = cs
+        elif cs == "1":
+            body = mono
+        else:
+            body = f"{cs}*{mono}"
+        if out:
+            out += f" {sign} {body}"
+        else:
+            out = body if sign == "+" else "-" + body
+    return out or "0"

@@ -25,6 +25,7 @@ from .fields import invert
 from .poly import (
     Polynomial,
     PolyRing,
+    add_into,
     grevlex_key,
     monomial_div,
     monomial_divides,
@@ -218,14 +219,8 @@ class _GB:
         # the monic leading terms cancel, so only the tails are shifted
         l = monomial_lcm(self.lts[i], self.lts[j])
         a = _mono_shift(self.tails[i], monomial_div(l, self.lts[i]))
-        for m, c in _mono_shift(self.tails[j], monomial_div(l, self.lts[j])).items():
-            s = a.get(m)
-            s = -c if s is None else s - c
-            if s:
-                a[m] = s
-            elif m in a:
-                del a[m]
-        return a
+        shift = monomial_div(l, self.lts[j])
+        return add_into(a, ((monomial_mul(m, shift), -c) for m, c in self.tails[j]))
 
     def run(self, gen_terms):
         """Reduced basis as (leading monomial, terms, tail) records sorted

@@ -25,7 +25,7 @@ from .errors import (
     ParseError,
     UnknownVariableError,
 )
-from .fields import _needs_parens, extends, field_of, format_elem, invert
+from .fields import extends, field_of, format_terms, invert, monomial_text
 
 
 def grevlex_key(mono):
@@ -46,6 +46,19 @@ def monomial_div(a, b):
 
 def monomial_lcm(a, b):
     return tuple(max(x, y) for x, y in zip(a, b))
+
+
+def add_into(out, pairs):
+    """Add (key, coefficient) pairs into the term map `out` in place,
+    deleting a key whose coefficient cancels; returns `out`."""
+    for k, c in pairs:
+        s = out.get(k)
+        s = c if s is None else s + c
+        if s:
+            out[k] = s
+        elif k in out:
+            del out[k]
+    return out
 
 
 def monomials_up_to(nvars, degree):
@@ -172,15 +185,7 @@ class Polynomial:
         other = self._lift(other)
         if other is None:
             return NotImplemented
-        out = dict(self.terms)
-        for m, c in other.terms.items():
-            s = out.get(m)
-            s = c if s is None else s + c
-            if s:
-                out[m] = s
-            elif m in out:
-                del out[m]
-        return Polynomial(self.ring, out)
+        return Polynomial(self.ring, add_into(dict(self.terms), other.terms.items()))
 
     __radd__ = __add__
 
@@ -200,17 +205,12 @@ class Polynomial:
         other = self._lift(other)
         if other is None:
             return NotImplemented
-        out = {}
-        for m1, c1 in self.terms.items():
-            for m2, c2 in other.terms.items():
-                m = monomial_mul(m1, m2)
-                c = c1 * c2
-                s = out.get(m)
-                s = c if s is None else s + c
-                if s:
-                    out[m] = s
-                elif m in out:
-                    del out[m]
+        right = other.terms.items()
+        out = add_into({}, (
+            (monomial_mul(m1, m2), c1 * c2)
+            for m1, c1 in self.terms.items()
+            for m2, c2 in right
+        ))
         return Polynomial(self.ring, out)
 
     __rmul__ = __mul__
@@ -324,44 +324,9 @@ class Polynomial:
         degrees = {sum(m) for m in self.terms}
         return len(degrees) <= 1
 
-    def sorted_terms(self, key=grevlex_key, reverse=True):
-        return sorted(self.terms.items(), key=lambda t: key(t[0]), reverse=reverse)
-
-    def leading_monomial(self, key=grevlex_key):
-        if not self.terms:
-            raise ValueError("zero polynomial has no leading monomial")
-        return max(self.terms, key=key)
-
-    def format(self, key=grevlex_key):
-        if not self.terms:
-            return "0"
-        parts = []
-        for m, c in self.sorted_terms(key=key):
-            mono = self._mono_str(m)
-            cs = format_elem(c)
-            sign = "+"
-            if cs.startswith("-") and not _needs_parens(cs[1:]):
-                sign, cs = "-", cs[1:]
-            if mono is None:
-                body = f"({cs})" if _needs_parens(cs) else cs
-            elif cs == "1":
-                body = mono
-            else:
-                body = (f"({cs})" if _needs_parens(cs) else cs) + "*" + mono
-            parts.append((sign, body))
-        out = parts[0][1] if parts[0][0] == "+" else "-" + parts[0][1]
-        for sign, body in parts[1:]:
-            out += f" {sign} {body}"
-        return out
-
-    def _mono_str(self, m):
-        pieces = []
-        for name, e in zip(self.ring.variables, m):
-            if e == 1:
-                pieces.append(name)
-            elif e > 1:
-                pieces.append(f"{name}^{e}")
-        return "*".join(pieces) if pieces else None
+    def format(self):
+        ordered = sorted(self.terms.items(), key=lambda t: grevlex_key(t[0]), reverse=True)
+        return format_terms((c, monomial_text(self.ring.variables, m)) for m, c in ordered)
 
     def __str__(self):
         return self.format()

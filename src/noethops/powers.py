@@ -206,6 +206,19 @@ def diff_power_new_univariate(p, n):
     return ideal_power(p.ideal, -(-n // e))
 
 
+def diff_power_new(p, n):
+    """Solution-set differential power of a prime, by the prime's kind;
+    refused for a general prime given only by a witness."""
+    if p.kind == RATIONAL_POINT:
+        return diff_power_new_point(Ideal(p.ring, [], p.ideal.order), p.point, n)
+    if p.kind == UNIVARIATE:
+        return diff_power_new_univariate(p, n)
+    raise UnsupportedCharacteristicError(
+        "solution-set differential powers need a rational-point "
+        "or univariate-algebraic prime"
+    )
+
+
 VERDICT_SUBSET = "subset"
 VERDICT_EQUAL = "equal"
 VERDICT_STRICT = "strict-subset"
@@ -317,11 +330,10 @@ def chain_check(p, n, agreement_bound=None):
         )
     )
 
-    if p.kind == RATIONAL_POINT:
-        report.new_diff = diff_power_new_point(Ideal(ring, [], p.ideal.order), p.point, n)
-    elif p.kind == UNIVARIATE:
-        report.new_diff = diff_power_new_univariate(p, n)
-
+    try:
+        report.new_diff = diff_power_new(p, n)
+    except UnsupportedCharacteristicError:
+        pass  # a witness prime has no solution-set power to compare
     if report.new_diff is not None:
         _inclusion_verdict(report, "symbolic", report.symbolic, "new_diff", report.new_diff)
 

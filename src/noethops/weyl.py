@@ -16,7 +16,7 @@ from itertools import product as _cartesian
 from math import comb
 
 from .errors import IncompatibleFieldError, ParseError
-from .fields import _needs_parens, format_elem, invert
+from .fields import format_elem, format_terms, invert, monomial_text
 from .poly import (
     END,
     INT,
@@ -25,6 +25,7 @@ from .poly import (
     Polynomial,
     TokenStream,
     _PolyParser,
+    add_into,
     grevlex_key,
     monomial_mul,
     tokenize,
@@ -85,15 +86,7 @@ class DiffOp:
         other = self._lift(other)
         if other is None:
             return NotImplemented
-        out = dict(self.terms)
-        for k, c in other.terms.items():
-            s = out.get(k)
-            s = c if s is None else s + c
-            if s:
-                out[k] = s
-            elif k in out:
-                del out[k]
-        return DiffOp(self.ring, out)
+        return DiffOp(self.ring, add_into(dict(self.terms), other.terms.items()))
 
     def __neg__(self):
         return DiffOp(self.ring, {k: -c for k, c in self.terms.items()})
@@ -110,17 +103,12 @@ class DiffOp:
 
     def premultiply(self, r):
         """r * delta for a polynomial r (the natural left R-action)."""
-        out = {}
-        for (a, b), c in self.terms.items():
-            for m, rc in r.terms.items():
-                k = (monomial_mul(a, m), b)
-                s = out.get(k)
-                v = c * rc
-                s = v if s is None else s + v
-                if s:
-                    out[k] = s
-                elif k in out:
-                    del out[k]
+        right = r.terms.items()
+        out = add_into({}, (
+            ((monomial_mul(a, m), b), c * rc)
+            for (a, b), c in self.terms.items()
+            for m, rc in right
+        ))
         return DiffOp(self.ring, out)
 
     def apply(self, f):
@@ -162,15 +150,10 @@ class DiffOp:
                 if dr.is_zero():
                     continue
                 rest = tuple(b - g for b, g in zip(beta, gamma))
-                for m, rc in dr.terms.items():
-                    k = (monomial_mul(alpha, m), rest)
-                    v = c * bc * rc
-                    s = out.get(k)
-                    s = v if s is None else s + v
-                    if s:
-                        out[k] = s
-                    elif k in out:
-                        del out[k]
+                add_into(out, (
+                    ((monomial_mul(alpha, m), rest), c * bc * rc)
+                    for m, rc in dr.terms.items()
+                ))
         return DiffOp(self.ring, out)
 
     def __eq__(self, other):
@@ -189,36 +172,12 @@ class DiffOp:
         )
 
     def format(self):
-        if not self.terms:
-            return "0"
-        parts = []
-        for (alpha, beta), c in self.sorted_terms():
-            pieces = []
-            for name, e in zip(self.ring.variables, alpha):
-                if e == 1:
-                    pieces.append(name)
-                elif e > 1:
-                    pieces.append(f"{name}^{e}")
-            for name, e in zip(self.ring.variables, beta):
-                if e == 1:
-                    pieces.append(f"d{name}")
-                elif e > 1:
-                    pieces.append(f"d{name}^{e}")
-            cs = format_elem(c)
-            sign = "+"
-            if cs.startswith("-") and not _needs_parens(cs[1:]):
-                sign, cs = "-", cs[1:]
-            if not pieces:
-                body = f"({cs})" if _needs_parens(cs) else cs
-            elif cs == "1":
-                body = "*".join(pieces)
-            else:
-                body = (f"({cs})" if _needs_parens(cs) else cs) + "*" + "*".join(pieces)
-            parts.append((sign, body))
-        out = parts[0][1] if parts[0][0] == "+" else "-" + parts[0][1]
-        for sign, body in parts[1:]:
-            out += f" {sign} {body}"
-        return out
+        names = self.ring.variables
+        dnames = tuple("d" + n for n in names)
+        return format_terms(
+            (c, "*".join(filter(None, (monomial_text(names, a), monomial_text(dnames, b)))))
+            for (a, b), c in self.sorted_terms()
+        )
 
     def to_json(self):
         return [

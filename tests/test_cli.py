@@ -191,6 +191,33 @@ def test_main_deep_nesting_is_an_input_error(tmp_path, capsys):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize(
+    "subcommand, text",
+    [
+        ("run", "ideal A = x*y; sat A, 0 as S; gb S;"),
+        ("gb", "ideal A = x*y; sat A, y as S; gb S;"),
+        ("noeth", "ideal A = x*y; sat A, 0 as S; noeth S at (0, 0);"),
+        ("diffpow", "ideal A = x*y; sat A, y as S; diffpow --new S at (0, 0) 2;"),
+    ],
+    ids=["failed-sat", "gb-skips-sat", "noeth", "diffpow-at"],
+)
+def test_name_bound_by_a_command_that_did_not_run(tmp_path, capsys, subcommand, text):
+    path = tmp_path / "unbound.ca"
+    path.write_text("field QQ; ring [x, y]; " + text)
+    code = main([subcommand, str(path), "--json"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert "Traceback" not in captured.err
+    entry = json.loads(captured.out)["commands"][-1]
+    assert entry["status"] == "error"
+    assert "'S' is unbound" in entry["error"]
+
+
+def test_bound_name_in_an_expression_is_refused():
+    with pytest.raises(ParseError, match="'r' is a command result and cannot appear"):
+        parse_script("field QQ; ring [x]; ideal A = x^2; nf x, A as r; assert-member r, A;")
+
+
 def test_main_examples(capsys):
     code = main(["examples"])
     out = capsys.readouterr().out

@@ -13,6 +13,7 @@ from noethops.powers import (
     chain_check,
     diff_power_classical_graded,
     diff_power_classical_member,
+    diff_power_new,
     diff_power_new_point,
     diff_power_new_univariate,
     symbolic_power,
@@ -186,6 +187,17 @@ def test_new_univariate_matches_power_scan():
     for prime, n in cases:
         j = _scanned_power_exponent(prime, n)
         assert ideal_equal(diff_power_new_univariate(prime, n), ideal_power(prime.ideal, j))
+
+
+def test_diff_power_new_dispatches_on_kind():
+    point = PrimeData.rational_point(R2, origin(R2))
+    assert ideal_equal(diff_power_new(point, 3), ideal_power(point.ideal, 3))
+    q = univariate_insep(3)
+    assert ideal_equal(diff_power_new(q, 4), ideal_power(q.ideal, 2))
+    cubic = twisted_cubic_prime()
+    with pytest.raises(UnsupportedCharacteristicError):
+        diff_power_new(cubic, 2)
+    assert chain_check(cubic, 2).new_diff is None
 
 
 def test_chain_check_rational_point_all_equal():
