@@ -115,7 +115,8 @@ def parse_field_descriptor(ts):
 class _ScriptPolyParser(_PolyParser):
     """Polynomial expressions inside scripts may also reference declared
     poly objects by name (ring variables and field generators win), but
-    not names bound by a command, whose values exist only once it runs."""
+    not other declared kinds, nor names bound by a command, whose values
+    exist only once it runs."""
 
     def __init__(self, ts, ring, script):
         super().__init__(ts, ring)
@@ -129,14 +130,18 @@ class _ScriptPolyParser(_PolyParser):
             and tok[1] not in self.generators
         ):
             entry = self.script.objects.get(tok[1])
-            if entry is not None and entry[1] is None:
+            if entry is not None:
+                kind, value = entry
+                if value is None:
+                    what = "a command result"
+                elif kind != "poly":
+                    what = f"a declared {kind}"
+                else:
+                    self.ts.next()
+                    return value
                 raise ParseError(
-                    f"{tok[1]!r} is a command result and cannot appear in an expression",
-                    tok[2],
+                    f"{tok[1]!r} is {what} and cannot appear in an expression", tok[2]
                 )
-            if entry is not None and entry[0] == "poly":
-                self.ts.next()
-                return entry[1]
         return super().parse_atom()
 
 

@@ -17,7 +17,7 @@ from math import factorial
 from .errors import NotZeroDimensionalError, UnsupportedCharacteristicError
 from .fields import format_elem, invert, monomial_text
 from .linalg import kernel_basis
-from .poly import grevlex_key, monomial_divides, monomial_mul, monomials_up_to
+from .poly import grevlex_key, monomial_mul, monomials_up_to
 from .weyl import DiffOp, SolTarget
 
 
@@ -191,20 +191,6 @@ class NoethResult:
         }
 
 
-def _smallest_standard_monomial(I):
-    """Smallest monomial outside the leading-term ideal; None for (1)."""
-    if I.is_unit_ideal():
-        return None
-    lts = I.leading_monomials()
-    n = I.ring.nvars
-    bound = 0
-    while True:
-        for m in monomials_up_to(n, bound):
-            if not any(monomial_divides(lt, m) for lt in lts):
-                return m
-        bound += 1
-
-
 def _certified_dual(I, point, safety_bound):
     """The stable dual, refused unless its dimension equals the number of
     standard monomials: only then is I primary to the maximal ideal of
@@ -232,11 +218,8 @@ def noetherian_operators(I, point, safety_bound=None):
     basis = _certified_dual(I, point, safety_bound)
     ops = [functional_to_operator(lam) for lam in basis.functionals]
     target = SolTarget.at_point(basis.point)
-    witness_mono = _smallest_standard_monomial(I)
-    if witness_mono is None:
-        witness = None
-    else:
-        witness = I.ring.monomial(witness_mono)
+    # 1 is the smallest standard monomial of every ideal but (1)
+    witness = None if I.is_unit_ideal() else I.ring.one()
     return NoethResult(
         ring=I.ring,
         point=basis.point,

@@ -14,6 +14,15 @@ package:
 Field objects mint and describe elements; the elements themselves carry
 the usual arithmetic dunders, so code over a generic field just writes
 ``a * b + c``.  Everything is immutable and hashable.
+
+Every exact value type other than ``Fraction`` derives its operators from
+one of two bases.  :class:`RingValue` gives ``-``, reflected ``-``, ``==``
+and ``**`` by square-and-multiply; :class:`FieldValue` adds ``/``,
+reflected ``/`` and negative powers.  A type defines ``_lift`` (the other
+operand as a value of its own type, or None), ``+``, unary ``-``, ``*``,
+``_key()`` (what ``==`` compares), ``_one()`` (where ``**`` starts) unless
+it overrides ``**``, ``inverse()`` if it is a field value, and its own
+``__hash__`` if it is hashable.
 """
 
 from fractions import Fraction
@@ -156,7 +165,71 @@ def GF(p):
     return PrimeField(p)
 
 
-class PrimeFieldElem:
+class RingValue:
+    """Operators of a commutative ring value derived from its type's
+    ``_lift``, ``+``, unary ``-``, ``*``, ``_key`` and ``_one``."""
+
+    __slots__ = ()
+
+    def __sub__(self, other):
+        other = self._lift(other)
+        if other is None:
+            return NotImplemented
+        return self + (-other)
+
+    def __rsub__(self, other):
+        other = self._lift(other)
+        if other is None:
+            return NotImplemented
+        return other - self
+
+    def __eq__(self, other):
+        try:
+            other = self._lift(other)
+        except IncompatibleFieldError:
+            return NotImplemented
+        if other is None:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __pow__(self, n):
+        if n < 0:
+            raise ValueError("negative power of a polynomial")
+        result = self._one()
+        base = self
+        while n:
+            if n & 1:
+                result = result * base
+            base = base * base
+            n >>= 1
+        return result
+
+
+class FieldValue(RingValue):
+    """A ring value whose nonzero values invert: adds ``/``, reflected
+    ``/`` and negative powers through the type's ``inverse``."""
+
+    __slots__ = ()
+
+    def __truediv__(self, other):
+        other = self._lift(other)
+        if other is None:
+            return NotImplemented
+        return self * other.inverse()
+
+    def __rtruediv__(self, other):
+        other = self._lift(other)
+        if other is None:
+            return NotImplemented
+        return other * self.inverse()
+
+    def __pow__(self, n):
+        if n < 0:
+            return self.inverse() ** (-n)
+        return super().__pow__(n)
+
+
+class PrimeFieldElem(FieldValue):
     __slots__ = ("value", "p")
 
     def __init__(self, value, p):
@@ -184,17 +257,13 @@ class PrimeFieldElem:
 
     __radd__ = __add__
 
+    # Direct, not self + (-other): the Groebner kernel's inner loop
+    # subtracts, and this makes one object instead of two.
     def __sub__(self, other):
         other = self._lift(other)
         if other is None:
             return NotImplemented
         return PrimeFieldElem(self.value - other.value, self.p)
-
-    def __rsub__(self, other):
-        other = self._lift(other)
-        if other is None:
-            return NotImplemented
-        return other - self
 
     def __mul__(self, other):
         other = self._lift(other)
@@ -204,24 +273,13 @@ class PrimeFieldElem:
 
     __rmul__ = __mul__
 
-    def __truediv__(self, other):
-        other = self._lift(other)
-        if other is None:
-            return NotImplemented
-        return self * other.inverse()
-
-    def __rtruediv__(self, other):
-        other = self._lift(other)
-        if other is None:
-            return NotImplemented
-        return other * self.inverse()
-
     def __neg__(self):
         return PrimeFieldElem(-self.value, self.p)
 
+    # Modular pow is one builtin call in place of the square-and-multiply loop.
     def __pow__(self, n):
         if n < 0:
-            return self.inverse() ** (-n)
+            return super().__pow__(n)
         return PrimeFieldElem(pow(self.value, n, self.p), self.p)
 
     def inverse(self):
@@ -229,14 +287,8 @@ class PrimeFieldElem:
             raise NotInvertibleError(f"0 has no inverse in F_{self.p}")
         return PrimeFieldElem(pow(self.value, -1, self.p), self.p)
 
-    def __eq__(self, other):
-        try:
-            other = self._lift(other)
-        except IncompatibleFieldError:
-            return NotImplemented
-        if other is None:
-            return NotImplemented
-        return self.value == other.value
+    def _key(self):
+        return self.value
 
     def __bool__(self):
         return self.value != 0
@@ -248,7 +300,7 @@ class PrimeFieldElem:
         return f"{self.value}"
 
 
-class UniPoly:
+class UniPoly(RingValue):
     """Dense univariate polynomial over a coefficient field.
 
     Used for the internals of rational function fields and algebraic
@@ -314,15 +366,6 @@ class UniPoly:
     def __neg__(self):
         return UniPoly(self.field, [-c for c in self.coeffs])
 
-    def __sub__(self, other):
-        other = self._lift(other)
-        if other is None:
-            return NotImplemented
-        return self + (-other)
-
-    def __rsub__(self, other):
-        return -(self - other)
-
     def __mul__(self, other):
         other = self._lift(other)
         if other is None:
@@ -340,17 +383,8 @@ class UniPoly:
 
     __rmul__ = __mul__
 
-    def __pow__(self, n):
-        if n < 0:
-            raise ValueError("negative power of a polynomial")
-        result = UniPoly.const(self.field, self.field.one())
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
+    def _one(self):
+        return UniPoly.const(self.field, self.field.one())
 
     def __divmod__(self, other):
         other = self._lift(other)
@@ -396,14 +430,8 @@ class UniPoly:
         li = invert(self.lead)
         return UniPoly(self.field, [c * li for c in self.coeffs])
 
-    def __eq__(self, other):
-        if isinstance(other, UniPoly):
-            return self.coeffs == other.coeffs and self.field == other.field
-        if self.is_zero():
-            return other == 0
-        if self.degree == 0:
-            return self.coeffs[0] == other
-        return NotImplemented
+    def _key(self):
+        return self.coeffs, self.field
 
     def __bool__(self):
         return bool(self.coeffs)
@@ -518,7 +546,7 @@ class RatFuncField:
         return f"{self.base!r}({self.var})"
 
 
-class RatFunc:
+class RatFunc(FieldValue):
     """num/den with monic, gcd-reduced denominator."""
 
     __slots__ = ("field", "num", "den")
@@ -564,15 +592,6 @@ class RatFunc:
     def __neg__(self):
         return RatFunc(self.field, -self.num, self.den)
 
-    def __sub__(self, other):
-        other = self._lift(other)
-        if other is None:
-            return NotImplemented
-        return self + (-other)
-
-    def __rsub__(self, other):
-        return -(self - other)
-
     def __mul__(self, other):
         other = self._lift(other)
         if other is None:
@@ -581,21 +600,10 @@ class RatFunc:
 
     __rmul__ = __mul__
 
-    def __truediv__(self, other):
-        other = self._lift(other)
-        if other is None:
-            return NotImplemented
-        return self * other.inverse()
-
-    def __rtruediv__(self, other):
-        other = self._lift(other)
-        if other is None:
-            return NotImplemented
-        return other * self.inverse()
-
+    # num^n/den^n is already reduced: one gcd, not one per multiplication.
     def __pow__(self, n):
         if n < 0:
-            return self.inverse() ** (-n)
+            return super().__pow__(n)
         return RatFunc(self.field, self.num**n, self.den**n)
 
     def inverse(self):
@@ -603,14 +611,8 @@ class RatFunc:
             raise NotInvertibleError("0 has no inverse")
         return RatFunc(self.field, self.den, self.num)
 
-    def __eq__(self, other):
-        try:
-            other = self._lift(other)
-        except IncompatibleFieldError:
-            return NotImplemented
-        if other is None:
-            return NotImplemented
-        return self.num == other.num and self.den == other.den
+    def _key(self):
+        return self.num, self.den
 
     def __bool__(self):
         return not self.num.is_zero()
@@ -678,7 +680,7 @@ class AlgExtField:
         return f"{self.base!r}[{self.var}]/({self.minpoly.to_str(self.var)})"
 
 
-class AlgExtElem:
+class AlgExtElem(FieldValue):
     __slots__ = ("field", "rep")
 
     def __init__(self, field, rep):
@@ -708,15 +710,6 @@ class AlgExtElem:
     def __neg__(self):
         return AlgExtElem(self.field, -self.rep)
 
-    def __sub__(self, other):
-        other = self._lift(other)
-        if other is None:
-            return NotImplemented
-        return self + (-other)
-
-    def __rsub__(self, other):
-        return -(self - other)
-
     def __mul__(self, other):
         other = self._lift(other)
         if other is None:
@@ -725,29 +718,8 @@ class AlgExtElem:
 
     __rmul__ = __mul__
 
-    def __truediv__(self, other):
-        other = self._lift(other)
-        if other is None:
-            return NotImplemented
-        return self * other.inverse()
-
-    def __rtruediv__(self, other):
-        other = self._lift(other)
-        if other is None:
-            return NotImplemented
-        return other * self.inverse()
-
-    def __pow__(self, n):
-        if n < 0:
-            return self.inverse() ** (-n)
-        result = self.field.one()
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
+    def _one(self):
+        return self.field.one()
 
     def inverse(self):
         if self.rep.is_zero():
@@ -761,14 +733,8 @@ class AlgExtElem:
             )
         return AlgExtElem(self.field, s % self.field.minpoly)
 
-    def __eq__(self, other):
-        try:
-            other = self._lift(other)
-        except IncompatibleFieldError:
-            return NotImplemented
-        if other is None:
-            return NotImplemented
-        return self.rep == other.rep
+    def _key(self):
+        return self.rep
 
     def __bool__(self):
         return not self.rep.is_zero()
@@ -784,7 +750,7 @@ def field_of(x):
     """The field an element belongs to (Fraction means QQ)."""
     if isinstance(x, Fraction):
         return QQ
-    if isinstance(x, (PrimeFieldElem, RatFunc, AlgExtElem)):
+    if isinstance(x, FieldValue):
         return x.field
     raise IncompatibleFieldError(f"{x!r} is not a field element")
 

@@ -25,7 +25,7 @@ from .errors import (
     ParseError,
     UnknownVariableError,
 )
-from .fields import extends, field_of, format_terms, invert, monomial_text
+from .fields import RingValue, extends, field_of, format_terms, invert, monomial_text
 
 
 def grevlex_key(mono):
@@ -153,7 +153,7 @@ class PolyRing:
         return f"{self.field!r}[{', '.join(self.variables)}]"
 
 
-class Polynomial:
+class Polynomial(RingValue):
     __slots__ = ("ring", "terms")
 
     def __init__(self, ring, terms):
@@ -192,15 +192,6 @@ class Polynomial:
     def __neg__(self):
         return Polynomial(self.ring, {m: -c for m, c in self.terms.items()})
 
-    def __sub__(self, other):
-        other = self._lift(other)
-        if other is None:
-            return NotImplemented
-        return self + (-other)
-
-    def __rsub__(self, other):
-        return -(self - other)
-
     def __mul__(self, other):
         other = self._lift(other)
         if other is None:
@@ -215,28 +206,11 @@ class Polynomial:
 
     __rmul__ = __mul__
 
-    def __pow__(self, n):
-        if n < 0:
-            raise ValueError("negative power of a polynomial")
-        result = self.ring.one()
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
+    def _one(self):
+        return self.ring.one()
 
-    def __eq__(self, other):
-        if isinstance(other, Polynomial) and other.ring != self.ring:
-            return False
-        try:
-            other = self._lift(other)
-        except IncompatibleFieldError:
-            return NotImplemented
-        if other is None:
-            return NotImplemented
-        return self.terms == other.terms
+    def _key(self):
+        return self.terms
 
     def __bool__(self):
         return bool(self.terms)
@@ -417,18 +391,21 @@ class _PolyParser:
         self.ring = ring
         self.generators = ring.field.named_generators()
 
-    def parse_expr(self):
+    def parse_expr(self, parse_term=None):
+        """A signed sum of terms; `parse_term` reads one term (a
+        polynomial term by default)."""
+        parse_term = parse_term or self.parse_term
         negate = self.ts.accept(SYM, "-") is not None
         if not negate:
             self.ts.accept(SYM, "+")
-        value = self.parse_term()
+        value = parse_term()
         if negate:
             value = -value
         while True:
             if self.ts.accept(SYM, "+"):
-                value = value + self.parse_term()
+                value = value + parse_term()
             elif self.ts.accept(SYM, "-"):
-                value = value - self.parse_term()
+                value = value - parse_term()
             else:
                 return value
 
@@ -438,16 +415,20 @@ class _PolyParser:
             if self.ts.accept(SYM, "*"):
                 value = value * self.parse_factor()
             elif self.ts.peek()[:2] == (SYM, "/"):
-                tok = self.ts.next()
-                divisor = self.parse_factor()
-                if divisor.total_degree() > 0:
-                    raise ParseError("division by a non-constant", tok[2])
-                if divisor.is_zero():
-                    raise ParseError("division by zero", tok[2])
-                c = divisor.coefficient((0,) * self.ring.nvars)
-                value = value * self.ring.const(invert(c))
+                value = self.parse_division(value)
             else:
                 return value
+
+    def parse_division(self, value):
+        """value / the factor after the '/', which must be a nonzero constant."""
+        pos = self.ts.next()[2]
+        divisor = self.parse_factor()
+        if divisor.total_degree() > 0:
+            raise ParseError("division by a non-constant", pos)
+        if divisor.is_zero():
+            raise ParseError("division by zero", pos)
+        c = divisor.coefficient((0,) * self.ring.nvars)
+        return value * self.ring.const(invert(c))
 
     def parse_factor(self):
         value = self.parse_atom()

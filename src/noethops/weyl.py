@@ -15,8 +15,8 @@ quotient by an ideal (via normal forms), or a point (evaluate there).
 from itertools import product as _cartesian
 from math import comb
 
-from .errors import IncompatibleFieldError, ParseError
-from .fields import format_elem, format_terms, invert, monomial_text
+from .errors import IncompatibleFieldError
+from .fields import format_elem, format_terms, monomial_text
 from .poly import (
     END,
     INT,
@@ -248,21 +248,6 @@ class _OpParser(_PolyParser):
     factor order it was written in; parenthesized subexpressions must be
     pure polynomials."""
 
-    def parse_op_expr(self):
-        negate = self.ts.accept(SYM, "-") is not None
-        if not negate:
-            self.ts.accept(SYM, "+")
-        value = self.parse_op_term()
-        if negate:
-            value = value.scale(-self.ring.field.one())
-        while True:
-            if self.ts.accept(SYM, "+"):
-                value = value + self.parse_op_term()
-            elif self.ts.accept(SYM, "-"):
-                value = value - self.parse_op_term()
-            else:
-                return value
-
     def parse_op_term(self):
         poly_part = self.ring.one()
         beta = [0] * self.ring.nvars
@@ -277,12 +262,7 @@ class _OpParser(_PolyParser):
             else:
                 poly_part = poly_part * self.parse_factor()
             while self.ts.peek()[:2] == (SYM, "/"):
-                tok = self.ts.next()
-                divisor = self.parse_factor()
-                if divisor.total_degree() > 0 or divisor.is_zero():
-                    raise ParseError("division by a non-constant", tok[2])
-                c = divisor.coefficient((0,) * self.ring.nvars)
-                poly_part = poly_part * self.ring.const(invert(c))
+                poly_part = self.parse_division(poly_part)
             if self.ts.accept(SYM, "*"):
                 continue
             break
@@ -305,6 +285,6 @@ def parse_operator(text, ring):
     """Parse operator text such as 'dx', 'dy^2' or 'x*dx - dy'."""
     ts = TokenStream(tokenize(text))
     parser = _OpParser(ts, ring)
-    value = parser.parse_op_expr()
+    value = parser.parse_expr(parser.parse_op_term)
     ts.expect(END)
     return value

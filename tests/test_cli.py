@@ -213,9 +213,18 @@ def test_name_bound_by_a_command_that_did_not_run(tmp_path, capsys, subcommand, 
     assert "'S' is unbound" in entry["error"]
 
 
-def test_bound_name_in_an_expression_is_refused():
+def test_bound_name_in_an_expression_is_refused(tmp_path, capsys):
     with pytest.raises(ParseError, match="'r' is a command result and cannot appear"):
         parse_script("field QQ; ring [x]; ideal A = x^2; nf x, A as r; assert-member r, A;")
+    path = tmp_path / "named.ca"
+    for text, message in [
+        ("ideal I = x; assert-member I, I;", "'I' is a declared ideal and"),
+        ("point P = (0, 0); poly f = P + x;", "'P' is a declared point and"),
+        ("prime Q = x, y : point (0, 0); ideal J = Q*x;", "'Q' is a declared prime and"),
+    ]:
+        path.write_text("field QQ; ring [x, y]; " + text)
+        assert main(["run", str(path)]) == 2
+        assert message in capsys.readouterr().err
 
 
 def test_main_examples(capsys):

@@ -20,6 +20,8 @@ from noethops.fields import (
     rational,
     uni_gcd,
 )
+from noethops.poly import PolyRing
+from noethops.weyl import DiffOp
 
 from conftest import random_elem, random_nonzero
 
@@ -193,3 +195,94 @@ def test_characteristic_annihilates():
     L = _ext_f2t()
     assert L.from_int(2) == L.zero()
     assert QT.from_int(7) != QT.zero()
+
+
+def _values():
+    """(label, a, b) for each exact value type: four fields, then K[x]
+    and k[x, y]."""
+    F5t = RatFuncField(F5, "t")
+    t5, tq, t2 = F5t.generator(), QT.generator(), F2T.generator()
+    L = AlgExtField(F2T, "u", UniPoly(F2T, [t2, F2T.zero(), F2T.one()]))
+    u = L.generator()
+    R = PolyRing(QQ, ["x", "y"])
+    x, y = R.gens()
+    q = QQ.from_int
+    return [
+        ("GF(7)", GF(7).from_int(3), GF(7).from_int(5)),
+        ("F_5(t)", (t5 + 1) / t5, t5 * t5 + 2),
+        ("QQ(t)", (1 - tq * tq) / (2 * tq), tq + 3),
+        ("ext", u + t2, u),
+        ("UniPoly", UniPoly(QQ, [q(1), q(0), q(2)]), UniPoly(QQ, [q(-3), q(1)])),
+        ("Polynomial", x - 2 * y, x * y + 1),
+    ]
+
+
+def _operator_results(a, b):
+    """Printed results of the operators each type derives from its own
+    +, unary -, * and inverse."""
+    out = [repr(a - b), repr(3 - a), repr(a - 3), repr(a**3), repr(a**0)]
+    out += [a == 3, a != b, a == a, (a - a + 3) == 3]
+    if hasattr(a, "inverse"):
+        out += [repr(a / b), repr(3 / a), repr(a / 3), repr(a**-2)]
+    return out
+
+
+# Exact results, pinned: the derived operators must keep every one.
+OPERATOR_RESULTS = {
+    "GF(7)": ["5", "0", "0", "6", "1", True, True, True, True, "2", "1", "1", "4"],
+    "F_5(t)": [
+        "(4*t^3 + 4*t + 1)/t", "(2*t + 4)/t", "(3*t + 1)/t",
+        "(t^3 + 3*t^2 + 3*t + 1)/t^3", "1", False, True, True, True,
+        "(t + 1)/(t^3 + 2*t)", "3*t/(t + 1)", "(2*t + 2)/t", "t^2/(t^2 + 2*t + 1)",
+    ],
+    "QQ(t)": [
+        "(-3/2*t^2 - 3*t + 1/2)/t", "(1/2*t^2 + 3*t - 1/2)/t",
+        "(-1/2*t^2 - 3*t + 1/2)/t", "(-1/8*t^6 + 3/8*t^4 - 3/8*t^2 + 1/8)/t^3",
+        "1", False, True, True, True,
+        "(-1/2*t^2 + 1/2)/(t^2 + 3*t)", "-6*t/(t^2 - 1)", "(-1/6*t^2 + 1/6)/t",
+        "4*t^2/(t^4 - 2*t^2 + 1)",
+    ],
+    "ext": [
+        "t", "u + (t + 1)", "u + (t + 1)", "(t^2 + t)*u + (t^3 + t^2)",
+        "1", False, True, True, True,
+        "u + 1", "1/(t^2 + t)*u + 1/(t + 1)", "u + t", "1/(t^2 + t)",
+    ],
+    "UniPoly": [
+        "2*T^2 - T + 4", "-2*T^2 + 2", "2*T^2 - 2", "8*T^6 + 12*T^4 + 6*T^2 + 1",
+        "1", False, True, True, True,
+    ],
+    "Polynomial": [
+        "-x*y + x - 2*y - 1", "-x + 2*y + 3", "x - 2*y - 3",
+        "x^3 - 6*x^2*y + 12*x*y^2 - 8*y^3", "1", False, True, True, True,
+    ],
+}
+
+
+@pytest.mark.parametrize("label, a, b", _values(), ids=[v[0] for v in _values()])
+def test_derived_operators(label, a, b):
+    assert _operator_results(a, b) == OPERATOR_RESULTS[label]
+    assert not hasattr(a, "__dict__")
+
+
+def test_ring_values_refuse_field_operators():
+    R = PolyRing(QQ, ["x"])
+    (x,) = R.gens()
+    f = UniPoly(QQ, [QQ.one(), QQ.one()])
+    dx = DiffOp.partial(R, 0)
+    for refused in (lambda: x / 2, lambda: 2 / x, lambda: f / f, lambda: dx**2, lambda: dx / dx):
+        with pytest.raises(TypeError):
+            refused()
+    for refused in (lambda: x**-1, lambda: f**-1):
+        with pytest.raises(ValueError, match="negative power of a polynomial"):
+            refused()
+    for unhashable in (x, dx):
+        with pytest.raises(TypeError):
+            hash(unhashable)
+
+
+def test_mixed_prime_fields():
+    a, b = GF(7).from_int(3), GF(5).from_int(3)
+    with pytest.raises(IncompatibleFieldError):
+        a - b
+    assert not a == b
+    assert a != b

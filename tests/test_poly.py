@@ -40,8 +40,10 @@ def test_parse_errors_have_position():
 
 def test_parse_rational_coefficients():
     assert parse("1/2*x - 3/4", R) == Fraction(1, 2) * x - R.const(Fraction(3, 4))
-    with pytest.raises(ParseError):
+    with pytest.raises(ParseError, match="division by a non-constant"):
         parse("x/y", R)
+    with pytest.raises(ParseError, match="division by zero"):
+        parse("x/0", R)
 
 
 def test_parse_t_rational_coefficients():

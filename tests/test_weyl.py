@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from noethops.errors import ParseError, UnknownVariableError
 from noethops.fields import GF, QQ
 from noethops.groebner import ideal
 from noethops.poly import PolyRing, monomials_up_to
@@ -179,6 +180,13 @@ def test_parse_operator():
     assert parse_operator("x*dx - dy", R) == dx.premultiply(x) - dy
     assert parse_operator("1", R) == DiffOp.identity(R)
     assert parse_operator("dx*x", R) == dx.premultiply(x)  # normal form reading
+    assert parse_operator("-dx + 1/2*dy", R) == dy.scale(QQ.from_int(1) / 2) - dx
+    with pytest.raises(ParseError, match="division by zero"):
+        parse_operator("dx/0", R)
+    with pytest.raises(ParseError, match="division by a non-constant"):
+        parse_operator("dx/x", R)
+    with pytest.raises(UnknownVariableError):
+        parse_operator("(dx)", R)  # parentheses hold polynomials only
 
 
 def test_operator_format_roundtrip(rng):
