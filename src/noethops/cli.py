@@ -9,12 +9,12 @@ issues commands against them::
     point P = (0, 0);
     noeth I at P;
 
-Statements end with ';' and '#' starts a comment.  Commands may bind
-their resulting ideal or polynomial to a new name with ``as N``; later
-commands take a bound ideal as an argument, but no expression can read a
-bound name.  Output is deterministic: generator lists are reduced
-Groebner bases sorted ascending by leading monomial, and JSON reports
-carry ``schema: 1``.
+Statements end with ';' and '#' starts a comment.  The commands that
+result in an ideal (gb, sat, intersect, sympow, diffpow) may bind it to a
+new name with ``as N``; later commands take a bound ideal as an argument,
+but no expression can read a bound name.  Output is deterministic:
+generator lists are reduced Groebner bases sorted ascending by leading
+monomial, and JSON reports carry ``schema: 1``.
 
 Exit codes: 0 ok, 1 failed assertion or failed chain verdict, 2 input
 error, 3 unsupported computation.
@@ -57,10 +57,10 @@ from .powers import (
 SCHEMA_VERSION = 1
 
 # The statement keywords.  The parser's stmt_<keyword> method ('-' read
-# as '_') parses a statement: declarations are evaluated while parsing,
-# every other statement returns the payload of a command that the
-# executor's cmd_<keyword> method runs.  Each COMMANDS keyword is also a
-# subcommand that runs only the commands of that kind.
+# as '_') is the one definition of a statement: declarations are evaluated
+# while parsing, and every other statement is parsed, checked and given
+# the closure that runs it and builds its report.  Each COMMANDS keyword
+# is also a subcommand that runs only the commands of that kind.
 DECLARATIONS = ("field", "ring", "poly", "ideal", "point", "prime")
 COMMANDS = ("gb", "nf", "sat", "intersect", "noeth", "sympow", "diffpow", "check-zn")
 ASSERTIONS = ("assert-equal", "assert-member")
@@ -146,14 +146,14 @@ class _ScriptPolyParser(_PolyParser):
 
 
 class Command:
-    def __init__(self, kind, pos, bind=None, **payload):
+    """One command statement: `execute(script, default_bound)` resolves its
+    names, computes, and returns (report fields, value to bind)."""
+
+    def __init__(self, kind, pos, bind, execute):
         self.kind = kind
         self.pos = pos
         self.bind = bind
-        self.payload = payload
-
-    def __repr__(self):
-        return f"Command({self.kind}, {self.payload})"
+        self.execute = execute
 
 
 class Script:
@@ -267,16 +267,24 @@ class _ScriptParser:
             gens.append(self._parse_poly(pos))
         return gens
 
-    def _maybe_bind(self, kind):
-        if self.ts.peek()[:2] == (NAME, "as"):
-            self.ts.next()
-            tok = self.ts.expect(NAME)
-            self.script.declare(tok[1], kind, None, tok[2])
-            return tok[1]
+    def _parse_bound(self):
+        if self.ts.accept(NAME, "bound"):
+            return self.ts.expect(INT)[1]
         return None
 
-    def _end(self):
+    def _close(self, *args, binds=False):
+        """End a statement: read 'as NAME' when the command binds an ideal,
+        then the ';', then check that each (name token, kinds) argument is
+        declared with one of its kinds.  Returns the bound name or None."""
+        bind = None
+        if binds and self.ts.accept(NAME, "as"):
+            tok = self.ts.expect(NAME)
+            self.script.declare(tok[1], "ideal", None, tok[2])
+            bind = tok[1]
         self.ts.expect(SYM, ";")
+        for tok, kinds in args:
+            self.script.lookup(tok[1], kinds, tok[2])
+        return bind
 
     # -- statements -------------------------------------------------------
 
@@ -284,13 +292,13 @@ class _ScriptParser:
         word, pos = self._keyword()
         if word not in KEYWORDS:
             raise ParseError(f"unknown statement {word!r}", pos)
-        payload = getattr(self, "stmt_" + word.replace("-", "_"))(pos)
+        command = getattr(self, "stmt_" + word.replace("-", "_"))(pos)
         if word not in DECLARATIONS:
-            self.script.commands.append(Command(word, pos, **payload))
+            self.script.commands.append(Command(word, pos, *command))
 
     def stmt_field(self, pos):
         self.script.field = parse_field_descriptor(self.ts)
-        self._end()
+        self._close()
 
     def stmt_ring(self, pos):
         if self.script.ring is not None:
@@ -304,21 +312,21 @@ class _ScriptParser:
         while self.ts.accept(SYM, ","):
             names.append(self.ts.expect(NAME)[1])
         self.ts.expect(SYM, "]")
-        self._end()
+        self._close()
         self.script.ring = PolyRing(self.script.field, names)
 
     def stmt_poly(self, pos):
         name = self.ts.expect(NAME)
         self.ts.expect(SYM, "=")
         f = self._parse_poly(pos)
-        self._end()
+        self._close()
         self.script.declare(name[1], "poly", f, name[2])
 
     def stmt_ideal(self, pos):
         name = self.ts.expect(NAME)
         self.ts.expect(SYM, "=")
         gens = self._parse_gens(pos)
-        self._end()
+        self._close()
         I = Ideal(self.script.ring, gens, self.script.order)
         self.script.declare(name[1], "ideal", I, name[2])
 
@@ -327,7 +335,7 @@ class _ScriptParser:
         self.ts.expect(SYM, "=")
         self._require_ring(pos)
         coords = self._parse_point_literal(pos)
-        self._end()
+        self._close()
         self.script.declare(name[1], "point", coords, name[2])
 
     def stmt_prime(self, pos):
@@ -360,43 +368,60 @@ class _ScriptParser:
             if isinstance(exc, ParseError):
                 raise
             raise ParseError(str(exc), kind_tok[2])
-        self._end()
+        self._close()
         self.script.declare(name[1], "prime", prime, name[2])
+
+    # Each command statement below returns (bound name, execute).  Its
+    # execute(script, default_bound) resolves names when the script runs,
+    # because a bound name holds a value only once its command has run.
 
     def stmt_gb(self, pos):
         tok = self.ts.expect(NAME)
-        bind = self._maybe_bind("ideal")
-        self._end()
-        self.script.lookup(tok[1], IDEAL_KINDS, tok[2])
-        return dict(bind=bind, ideal=tok[1])
+        bind = self._close((tok, IDEAL_KINDS), binds=True)
+
+        def execute(script, default_bound):
+            I = script.as_ideal(tok[1], pos)
+            basis = list(I.groebner_basis)
+            fields = {"ideal": tok[1], "basis": [str(g) for g in basis]}
+            return fields, Ideal(I.ring, basis, I.order)
+
+        return bind, execute
 
     def stmt_nf(self, pos):
         f = self._parse_poly(pos)
         self.ts.expect(SYM, ",")
         tok = self.ts.expect(NAME)
-        bind = self._maybe_bind("poly")
-        self._end()
-        self.script.lookup(tok[1], IDEAL_KINDS, tok[2])
-        return dict(bind=bind, poly=f, ideal=tok[1])
+        self._close((tok, IDEAL_KINDS))
+
+        def execute(script, default_bound):
+            r = script.as_ideal(tok[1], pos).normal_form(f)
+            return {"poly": str(f), "ideal": tok[1], "normal_form": str(r)}, None
+
+        return None, execute
 
     def stmt_sat(self, pos):
         tok = self.ts.expect(NAME)
         self.ts.expect(SYM, ",")
         s = self._parse_poly(pos)
-        bind = self._maybe_bind("ideal")
-        self._end()
-        self.script.lookup(tok[1], IDEAL_KINDS, tok[2])
-        return dict(bind=bind, ideal=tok[1], witness=s)
+        bind = self._close((tok, IDEAL_KINDS), binds=True)
+
+        def execute(script, default_bound):
+            result = saturate(script.as_ideal(tok[1], pos), s)
+            return {"ideal": tok[1], "witness": str(s), "result": _ideal_json(result)}, result
+
+        return bind, execute
 
     def stmt_intersect(self, pos):
-        tok1 = self.ts.expect(NAME)
+        left = self.ts.expect(NAME)
         self.ts.expect(SYM, ",")
-        tok2 = self.ts.expect(NAME)
-        bind = self._maybe_bind("ideal")
-        self._end()
-        self.script.lookup(tok1[1], IDEAL_KINDS, tok1[2])
-        self.script.lookup(tok2[1], IDEAL_KINDS, tok2[2])
-        return dict(bind=bind, left=tok1[1], right=tok2[1])
+        right = self.ts.expect(NAME)
+        bind = self._close((left, IDEAL_KINDS), (right, IDEAL_KINDS), binds=True)
+
+        def execute(script, default_bound):
+            result = intersect(script.as_ideal(left[1], pos), script.as_ideal(right[1], pos))
+            return {"left": left[1], "right": right[1], "result": _ideal_json(result)}, result
+
+        return bind, execute
 
     def stmt_noeth(self, pos):
         tok = self.ts.expect(NAME)
@@ -404,71 +429,93 @@ class _ScriptParser:
         if at[1] != "at":
             raise ParseError("expected 'at' in noeth command", at[2])
         point = self._parse_point_ref(pos)
-        self._end()
-        self.script.lookup(tok[1], IDEAL_KINDS, tok[2])
-        return dict(ideal=tok[1], point=point)
+        self._close((tok, IDEAL_KINDS))
+
+        def execute(script, default_bound):
+            res = noetherian_operators(script.as_ideal(tok[1], pos), point)
+            return {"ideal": tok[1], **res.to_json()}, None
+
+        return None, execute
 
     def stmt_sympow(self, pos):
         tok = self.ts.expect(NAME)
         n = self.ts.expect(INT)[1]
-        bind = self._maybe_bind("ideal")
-        self._end()
-        self.script.lookup(tok[1], {"prime"}, tok[2])
-        return dict(bind=bind, prime=tok[1], n=n)
+        bind = self._close((tok, {"prime"}), binds=True)
+
+        def execute(script, default_bound):
+            result = symbolic_power(script.objects[tok[1]][1], n)
+            return {"prime": tok[1], "n": n, "result": _ideal_json(result)}, result
+
+        return bind, execute
 
     def stmt_diffpow(self, pos):
         self.ts.expect(SYM, "-")
         self.ts.expect(SYM, "-")
-        variant = self.ts.expect(NAME)
-        if variant[1] not in ("new", "classical"):
-            raise ParseError("diffpow expects --new or --classical", variant[2])
+        flag = self.ts.expect(NAME)
+        variant = flag[1]
+        if variant not in ("new", "classical"):
+            raise ParseError("diffpow expects --new or --classical", flag[2])
         tok = self.ts.expect(NAME)
         point = None
-        if self.ts.peek()[:2] == (NAME, "at"):
-            self.ts.next()
+        if self.ts.accept(NAME, "at"):
             point = self._parse_point_ref(pos)
         n = self.ts.expect(INT)[1]
-        bound = None
-        if self.ts.peek()[:2] == (NAME, "bound"):
-            self.ts.next()
-            bound = self.ts.expect(INT)[1]
-        bind = self._maybe_bind("ideal")
-        self._end()
-        if variant[1] == "new" and point is None:
-            self.script.lookup(tok[1], {"prime"}, tok[2])
-        else:
-            self.script.lookup(tok[1], IDEAL_KINDS, tok[2])
-        return dict(
-            bind=bind, variant=variant[1], name=tok[1], point=point, n=n, bound=bound
-        )
+        bound = self._parse_bound()
+        on_prime = variant == "new" and point is None
+        bind = self._close((tok, {"prime"} if on_prime else IDEAL_KINDS), binds=True)
+
+        def execute(script, default_bound):
+            if on_prime:
+                result = diff_power_new(script.objects[tok[1]][1], n)
+            elif variant == "new":
+                result = diff_power_new_point(script.as_ideal(tok[1], pos), point, n)
+            else:
+                I = script.as_ideal(tok[1], pos)
+                degree = default_bound if bound is None else bound
+                if degree is None:
+                    raise ValueError("diffpow --classical requires a degree bound")
+                result = diff_power_classical_graded(I, n, degree)
+            fields = {"variant": variant, "name": tok[1], "n": n, "result": _ideal_json(result)}
+            return fields, result
+
+        return bind, execute
 
     def stmt_check_zn(self, pos):
         tok = self.ts.expect(NAME)
         n = self.ts.expect(INT)[1]
-        bound = None
-        if self.ts.peek()[:2] == (NAME, "bound"):
-            self.ts.next()
-            bound = self.ts.expect(INT)[1]
-        self._end()
-        self.script.lookup(tok[1], {"prime"}, tok[2])
-        return dict(prime=tok[1], n=n, bound=bound)
+        bound = self._parse_bound()
+        self._close((tok, {"prime"}))
+
+        def execute(script, default_bound):
+            degree = default_bound if bound is None else bound
+            report = chain_check(script.objects[tok[1]][1], n, agreement_bound=degree)
+            return {"prime": tok[1], **report.to_json(), "failed": not report.all_hold()}, None
+
+        return None, execute
 
     def stmt_assert_equal(self, pos):
-        tok1 = self.ts.expect(NAME)
+        left = self.ts.expect(NAME)
         self.ts.expect(SYM, ",")
-        tok2 = self.ts.expect(NAME)
-        self._end()
-        self.script.lookup(tok1[1], IDEAL_KINDS, tok1[2])
-        self.script.lookup(tok2[1], IDEAL_KINDS, tok2[2])
-        return dict(left=tok1[1], right=tok2[1])
+        right = self.ts.expect(NAME)
+        self._close((left, IDEAL_KINDS), (right, IDEAL_KINDS))
+
+        def execute(script, default_bound):
+            ok = ideal_equal(script.as_ideal(left[1], pos), script.as_ideal(right[1], pos))
+            return {"left": left[1], "right": right[1], "ok": ok, "failed": not ok}, None
+
+        return None, execute
 
     def stmt_assert_member(self, pos):
         f = self._parse_poly(pos)
         self.ts.expect(SYM, ",")
         tok = self.ts.expect(NAME)
-        self._end()
-        self.script.lookup(tok[1], IDEAL_KINDS, tok[2])
-        return dict(poly=f, ideal=tok[1])
+        self._close((tok, IDEAL_KINDS))
+
+        def execute(script, default_bound):
+            ok = script.as_ideal(tok[1], pos).contains(f)
+            return {"poly": str(f), "ideal": tok[1], "ok": ok, "failed": not ok}, None
+
+        return None, execute
 
 
 def parse_script(text, order_kind="grevlex"):
@@ -476,142 +523,19 @@ def parse_script(text, order_kind="grevlex"):
     return _ScriptParser(text, order_kind).parse()
 
 
-class _Executor:
-    def __init__(self, script, default_bound=None):
-        self.script = script
-        self.default_bound = default_bound
+# Exit codes from best to worst: a run exits with the worst code of its
+# commands, and a set of runs with the worst code of its runs.
+_EXIT_ORDER = (0, 1, 3, 2)
 
-    def ideal_of(self, cmd, key):
-        return self.script.as_ideal(cmd.payload[key], cmd.pos)
 
-    def prime_of(self, name):
-        return self.script.objects[name][1]
-
-    def bound_of(self, cmd):
-        """The command's own degree bound, else the default; 0 is a bound."""
-        bound = cmd.payload["bound"]
-        return self.default_bound if bound is None else bound
-
-    def bind(self, cmd, kind, obj):
-        if cmd.bind:
-            self.script.objects[cmd.bind] = (kind, obj)
-
-    def execute(self, cmd):
-        method = getattr(self, "cmd_" + cmd.kind.replace("-", "_"))
-        return method(cmd)
-
-    def cmd_gb(self, cmd):
-        I = self.ideal_of(cmd, "ideal")
-        basis = list(I.groebner_basis)
-        self.bind(cmd, "ideal", Ideal(I.ring, basis, I.order))
-        return {"ideal": cmd.payload["ideal"], "basis": [str(g) for g in basis]}
-
-    def cmd_nf(self, cmd):
-        I = self.ideal_of(cmd, "ideal")
-        r = I.normal_form(cmd.payload["poly"])
-        self.bind(cmd, "poly", r)
-        return {
-            "poly": str(cmd.payload["poly"]),
-            "ideal": cmd.payload["ideal"],
-            "normal_form": str(r),
-        }
-
-    def cmd_sat(self, cmd):
-        I = self.ideal_of(cmd, "ideal")
-        result = saturate(I, cmd.payload["witness"])
-        self.bind(cmd, "ideal", result)
-        return {
-            "ideal": cmd.payload["ideal"],
-            "witness": str(cmd.payload["witness"]),
-            "result": _ideal_json(result),
-        }
-
-    def cmd_intersect(self, cmd):
-        result = intersect(self.ideal_of(cmd, "left"), self.ideal_of(cmd, "right"))
-        self.bind(cmd, "ideal", result)
-        return {
-            "left": cmd.payload["left"],
-            "right": cmd.payload["right"],
-            "result": _ideal_json(result),
-        }
-
-    def cmd_noeth(self, cmd):
-        I = self.ideal_of(cmd, "ideal")
-        res = noetherian_operators(I, cmd.payload["point"])
-        out = {"ideal": cmd.payload["ideal"]}
-        out.update(res.to_json())
-        return out
-
-    def cmd_sympow(self, cmd):
-        p = self.prime_of(cmd.payload["prime"])
-        result = symbolic_power(p, cmd.payload["n"])
-        self.bind(cmd, "ideal", result)
-        return {
-            "prime": cmd.payload["prime"],
-            "n": cmd.payload["n"],
-            "result": _ideal_json(result),
-        }
-
-    def cmd_diffpow(self, cmd):
-        variant = cmd.payload["variant"]
-        n = cmd.payload["n"]
-        name = cmd.payload["name"]
-        if variant == "new":
-            if cmd.payload["point"] is not None:
-                J = self.ideal_of(cmd, "name")
-                result = diff_power_new_point(J, cmd.payload["point"], n)
-            else:
-                result = diff_power_new(self.prime_of(name), n)
-        else:
-            I = self.ideal_of(cmd, "name")
-            bound = self.bound_of(cmd)
-            if bound is None:
-                raise ValueError("diffpow --classical requires a degree bound")
-            result = diff_power_classical_graded(I, n, bound)
-        self.bind(cmd, "ideal", result)
-        return {
-            "variant": variant,
-            "name": name,
-            "n": n,
-            "result": _ideal_json(result),
-        }
-
-    def cmd_check_zn(self, cmd):
-        p = self.prime_of(cmd.payload["prime"])
-        report = chain_check(p, cmd.payload["n"], agreement_bound=self.bound_of(cmd))
-        out = {"prime": cmd.payload["prime"]}
-        out.update(report.to_json())
-        if not report.all_hold():
-            out["failed"] = True
-        return out
-
-    def cmd_assert_equal(self, cmd):
-        left = self.ideal_of(cmd, "left")
-        right = self.ideal_of(cmd, "right")
-        ok = ideal_equal(left, right)
-        return {
-            "left": cmd.payload["left"],
-            "right": cmd.payload["right"],
-            "ok": ok,
-            "failed": not ok,
-        }
-
-    def cmd_assert_member(self, cmd):
-        I = self.ideal_of(cmd, "ideal")
-        ok = I.contains(cmd.payload["poly"])
-        return {
-            "poly": str(cmd.payload["poly"]),
-            "ideal": cmd.payload["ideal"],
-            "ok": ok,
-            "failed": not ok,
-        }
+def _worst(codes):
+    return max(codes, key=_EXIT_ORDER.index, default=0)
 
 
 def run(script, only=None, default_bound=None):
     """Execute a parsed script.  Per-command errors are captured and the
     run continues; the report carries everything needed for the exit
     code."""
-    executor = _Executor(script, default_bound=default_bound)
     entries = []
     counts = {"errors": 0, "unsupported": 0, "failed_assertions": 0}
     for cmd in script.commands:
@@ -619,7 +543,7 @@ def run(script, only=None, default_bound=None):
             continue
         entry = {"command": cmd.kind}
         try:
-            payload = executor.execute(cmd)
+            fields, value = cmd.execute(script, default_bound)
         except UnsupportedCharacteristicError as exc:
             entry["status"] = "unsupported"
             entry["error"] = str(exc)
@@ -629,21 +553,17 @@ def run(script, only=None, default_bound=None):
             entry["error"] = str(exc)
             counts["errors"] += 1
         else:
-            if payload.pop("failed", False):
+            if cmd.bind:
+                script.objects[cmd.bind] = ("ideal", value)
+            if fields.pop("failed", False):
                 entry["status"] = "failed"
                 counts["failed_assertions"] += 1
             else:
                 entry["status"] = "ok"
-            entry.update(payload)
+            entry.update(fields)
         entries.append(entry)
-    if counts["errors"]:
-        exit_code = 2
-    elif counts["unsupported"]:
-        exit_code = 3
-    elif counts["failed_assertions"]:
-        exit_code = 1
-    else:
-        exit_code = 0
+    codes = {"errors": 2, "unsupported": 3, "failed_assertions": 1}
+    exit_code = _worst(codes[key] for key, count in counts.items() if count)
     return {
         "schema": SCHEMA_VERSION,
         "commands": entries,
@@ -803,15 +723,10 @@ def main(argv=None):
 
     if args.subcommand == "examples":
         scripts = []
-        worst = 0
-        priority = {0: 0, 1: 1, 3: 2, 2: 3}
         for name, text in EXAMPLE_SCRIPTS:
             script = parse_script(text, order_kind=args.order)
             report = run(script, default_bound=args.bound)
             scripts.append({"name": name, **report})
-            code = report["status"]["exit_code"]
-            if priority[code] > priority[worst]:
-                worst = code
         if args.json:
             print(json.dumps({"schema": SCHEMA_VERSION, "scripts": scripts}, indent=2))
         else:
@@ -819,7 +734,7 @@ def main(argv=None):
                 status = entry["status"]
                 ok = "ok" if status["exit_code"] == 0 else f"exit {status['exit_code']}"
                 print(f"{entry['name']}: {ok}")
-        return worst
+        return _worst(entry["status"]["exit_code"] for entry in scripts)
 
     only = None if args.subcommand == "run" else args.subcommand
     try:

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from math import factorial
 
 from .errors import NotZeroDimensionalError, UnsupportedCharacteristicError
-from .fields import format_elem, invert, monomial_text
+from .fields import format_elem, format_terms, invert, monomial_text
 from .linalg import kernel_basis
 from .poly import grevlex_key, monomial_mul, monomials_up_to
 from .weyl import DiffOp, SolTarget
@@ -57,14 +57,9 @@ class DualFunctional:
         return DualFunctional.from_dict(self.ring, out)
 
     def __str__(self):
-        if not self.coords:
-            return "0"
-        pieces = []
-        for m, c in self.coords:
-            mono = monomial_text(self.ring.variables, m) or "1"
-            cs = format_elem(c)
-            pieces.append(f"e[{mono}]" if cs == "1" else f"{cs}*e[{mono}]")
-        return " + ".join(pieces)
+        return format_terms(
+            (c, f"e[{monomial_text(self.ring.variables, m) or '1'}]") for m, c in self.coords
+        )
 
 
 @dataclass

@@ -215,7 +215,7 @@ def test_name_bound_by_a_command_that_did_not_run(tmp_path, capsys, subcommand, 
 
 def test_bound_name_in_an_expression_is_refused(tmp_path, capsys):
     with pytest.raises(ParseError, match="'r' is a command result and cannot appear"):
-        parse_script("field QQ; ring [x]; ideal A = x^2; nf x, A as r; assert-member r, A;")
+        parse_script("field QQ; ring [x]; ideal A = x^2; gb A as r; assert-member r, A;")
     path = tmp_path / "named.ca"
     for text, message in [
         ("ideal I = x; assert-member I, I;", "'I' is a declared ideal and"),
@@ -238,7 +238,7 @@ def test_main_examples(capsys):
 def test_intersect_and_nf_commands():
     text = (
         "field QQ; ring [x,y]; ideal A = x; ideal B = y; "
-        "intersect A, B as C; nf x*y + 1, C as r; assert-member x*y, C;"
+        "intersect A, B as C; nf x*y + 1, C; assert-member x*y, C;"
     )
     report = run(parse_script(text))
     assert report["status"]["exit_code"] == 0
@@ -264,7 +264,7 @@ def test_every_command_in_one_script():
     ideal A = x*y;
     prime m = x, y : point O;
     gb I as G;
-    nf f, I as r;
+    nf f, I;
     sat A, y as S;
     intersect I, A as T;
     noeth I at O;
@@ -307,3 +307,166 @@ def test_bound_zero_is_honoured():
         assert entry["status"] == "ok"
         agree = [v for v in entry["verdicts"] if v["relation"] == "agrees-on-monomials"]
         assert [v["note"] for v in agree] == ["all monomials of degree <= 0"]
+
+
+# Every malformed statement below, after MALFORMED_HEAD, raises this exact
+# exception with this exact message.  The order of the checks is part of
+# the contract: a missing ';' is reported before an undeclared name, and
+# an 'as NAME' clause is declared before the arguments are looked up.
+MALFORMED_HEAD = (
+    "field QQ; ring [x, y]; point O = (0, 0); poly f = x + y; "
+    "ideal I = x^2, y; prime m = x, y : point O; "
+)
+MALFORMED = [
+    ("gb nope", ParseError, "expected ';', found None (at position 108)"),
+    ("gb nope;", UndeclaredNameError, "undeclared name 'nope' (at position 104)"),
+    ("gb I as I;", ParseError, "name 'I' already declared (at position 109)"),
+    ("gb O;", ParseError, "'O' is a point, expected one of ['ideal', 'prime'] (at position 104)"),
+    ("gb I as;", ParseError, "expected 'name', found ';' (at position 108)"),
+    ("gb I J;", ParseError, "expected ';', found 'J' (at position 106)"),
+    ("gb G; gb I as G;", UndeclaredNameError, "undeclared name 'G' (at position 104)"),
+    ("nf x, nope;", UndeclaredNameError, "undeclared name 'nope' (at position 107)"),
+    ("nf x I;", ParseError, "expected ',', found 'I' (at position 106)"),
+    ("nf x, O;", ParseError, "'O' is a point, expected one of ['ideal', 'prime'] (at position 107)"),
+    ("nf I, I;", ParseError,
+     "'I' is a declared ideal and cannot appear in an expression (at position 104)"),
+    ("sat I x;", ParseError, "expected ',', found 'x' (at position 107)"),
+    ("sat nope, x;", UndeclaredNameError, "undeclared name 'nope' (at position 105)"),
+    ("sat I, x as G as H;", ParseError, "expected ';', found 'as' (at position 115)"),
+    ("sat O, x;", ParseError, "'O' is a point, expected one of ['ideal', 'prime'] (at position 105)"),
+    ("intersect I;", ParseError, "expected ',', found ';' (at position 112)"),
+    ("intersect I, nope;", UndeclaredNameError, "undeclared name 'nope' (at position 114)"),
+    ("intersect nope, O;", UndeclaredNameError, "undeclared name 'nope' (at position 111)"),
+    ("intersect I, O;", ParseError,
+     "'O' is a point, expected one of ['ideal', 'prime'] (at position 114)"),
+    ("noeth I on O;", ParseError, "expected 'at' in noeth command (at position 109)"),
+    ("noeth I at nope;", UndeclaredNameError, "undeclared name 'nope' (at position 112)"),
+    ("noeth I at I;", ParseError, "'I' is a ideal, expected one of ['point'] (at position 112)"),
+    ("noeth I at (0);", ParseError, "point arity 1 != ring arity 2 (at position 101)"),
+    ("noeth I at O as N;", ParseError, "expected ';', found 'as' (at position 114)"),
+    ("noeth O at O;", ParseError, "'O' is a point, expected one of ['ideal', 'prime'] (at position 107)"),
+    ("sympow I 2;", ParseError, "'I' is a ideal, expected one of ['prime'] (at position 108)"),
+    ("sympow m x;", ParseError, "expected 'int', found 'x' (at position 110)"),
+    ("sympow m 2 as m;", ParseError, "name 'm' already declared (at position 115)"),
+    ("gb I as G; sympow G 2;", ParseError,
+     "'G' is a ideal, expected one of ['prime'] (at position 119)"),
+    ("diffpow --old m 2;", ParseError, "diffpow expects --new or --classical (at position 111)"),
+    ("diffpow --new m at O;", ParseError, "expected 'int', found ';' (at position 121)"),
+    ("diffpow -new m 2;", ParseError, "expected '-', found 'new' (at position 110)"),
+    ("diffpow --new I 2;", ParseError, "'I' is a ideal, expected one of ['prime'] (at position 115)"),
+    ("diffpow --classical O 2 bound 3;", ParseError,
+     "'O' is a point, expected one of ['ideal', 'prime'] (at position 121)"),
+    ("diffpow --new m 2 bound x;", ParseError, "expected 'int', found 'x' (at position 125)"),
+    ("diffpow --new nope at O 2;", UndeclaredNameError, "undeclared name 'nope' (at position 115)"),
+    ("check-zn m 2 bound;", ParseError, "expected 'int', found ';' (at position 119)"),
+    ("check-zn I 2;", ParseError, "'I' is a ideal, expected one of ['prime'] (at position 110)"),
+    ("check-zn m 2 as Z;", ParseError, "expected ';', found 'as' (at position 114)"),
+    ("assert-equal I, nope;", UndeclaredNameError, "undeclared name 'nope' (at position 117)"),
+    ("assert-equal I;", ParseError, "expected ',', found ';' (at position 115)"),
+    ("assert-equal O, I;", ParseError,
+     "'O' is a point, expected one of ['ideal', 'prime'] (at position 114)"),
+    ("assert-member f, nope;", UndeclaredNameError, "undeclared name 'nope' (at position 118)"),
+    ("assert-member x, m as A;", ParseError, "expected ';', found 'as' (at position 120)"),
+    ("assert-member O, I;", ParseError,
+     "'O' is a declared point and cannot appear in an expression (at position 115)"),
+    ("frobnicate I;", ParseError, "unknown statement 'frobnicate' (at position 101)"),
+]
+
+
+@pytest.mark.parametrize("statement, error, message", MALFORMED, ids=[m[0] for m in MALFORMED])
+def test_malformed_statement_message(statement, error, message):
+    with pytest.raises(ParseError) as err:
+        parse_script(MALFORMED_HEAD + statement)
+    assert (type(err.value), str(err.value)) == (error, message)
+
+
+def test_nf_binds_nothing(tmp_path, capsys):
+    path = tmp_path / "nf.ca"
+    path.write_text("field QQ; ring [x]; ideal I = x^2; nf x, I as r;")
+    assert main(["run", str(path)]) == 2
+    assert "expected ';', found 'as'" in capsys.readouterr().err
+
+
+# Exact reports of error, unsupported and failed entries, and of a chain
+# whose commands read names bound by earlier ones.
+REPORTS = [
+    (
+        MALFORMED_HEAD + "sat I, 0;",
+        {"schema": 1,
+         "commands": [{"command": "sat", "status": "error", "error": "cannot saturate by zero"}],
+         "status": {"errors": 1, "unsupported": 0, "failed_assertions": 0, "exit_code": 2}},
+    ),
+    (
+        MALFORMED_HEAD + "diffpow --classical m 2;",
+        {"schema": 1,
+         "commands": [{"command": "diffpow", "status": "error",
+                       "error": "diffpow --classical requires a degree bound"}],
+         "status": {"errors": 1, "unsupported": 0, "failed_assertions": 0, "exit_code": 2}},
+    ),
+    (
+        "field Fp(5); ring [x, y]; ideal I = x, y; diffpow --classical I 2 bound 3;",
+        {"schema": 1,
+         "commands": [{"command": "diffpow", "status": "unsupported",
+                       "error": "classical differential powers are only computed over "
+                                "characteristic zero"}],
+         "status": {"errors": 0, "unsupported": 1, "failed_assertions": 0, "exit_code": 3}},
+    ),
+    (
+        MALFORMED_HEAD + "assert-member x, I;",
+        {"schema": 1,
+         "commands": [{"command": "assert-member", "status": "failed", "poly": "x",
+                       "ideal": "I", "ok": False}],
+         "status": {"errors": 0, "unsupported": 0, "failed_assertions": 1, "exit_code": 1}},
+    ),
+    (
+        MALFORMED_HEAD + "sat I, 0 as S; gb S;",
+        {"schema": 1,
+         "commands": [{"command": "sat", "status": "error", "error": "cannot saturate by zero"},
+                      {"command": "gb", "status": "error",
+                       "error": "'S' is unbound: the command that binds it failed or did "
+                                "not run (at position 116)"}],
+         "status": {"errors": 2, "unsupported": 0, "failed_assertions": 0, "exit_code": 2}},
+    ),
+    (
+        MALFORMED_HEAD + "gb I as G; nf f + y, G; intersect G, m as T; sat T, x;",
+        {"schema": 1,
+         "commands": [{"command": "gb", "status": "ok", "ideal": "I", "basis": ["y", "x^2"]},
+                      {"command": "nf", "status": "ok", "poly": "x + 2*y", "ideal": "G",
+                       "normal_form": "x"},
+                      {"command": "intersect", "status": "ok", "left": "G", "right": "m",
+                       "result": ["y", "x^2"]},
+                      {"command": "sat", "status": "ok", "ideal": "T", "witness": "x",
+                       "result": ["1"]}],
+         "status": {"errors": 0, "unsupported": 0, "failed_assertions": 0, "exit_code": 0}},
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "text, expected", REPORTS,
+    ids=["error", "no-bound", "unsupported", "failed", "unbound", "bound-chain"],
+)
+def test_report_bytes(text, expected):
+    # json.dumps keeps key order, so the dict literal pins the bytes.
+    assert json.dumps(run(parse_script(text)), indent=2) == json.dumps(expected, indent=2)
+
+
+@pytest.mark.parametrize(
+    "codes, worst",
+    [((0,), 0), ((1, 0), 1), ((1, 3), 3), ((3, 1), 3), ((1, 3, 2), 2), ((2, 3), 2), ((3, 2, 0), 2)],
+)
+def test_examples_exit_with_the_worst_code(monkeypatch, capsys, codes, worst):
+    head = "field QQ; ring [x, y]; ideal I = x^2, y; "
+    by_code = {
+        0: head + "assert-member y, I;",
+        1: head + "assert-member x, I;",
+        2: head + "sat I, 0;",
+        3: "field Fp(5); ring [x, y]; ideal I = x, y; diffpow --classical I 2 bound 3;",
+    }
+    monkeypatch.setattr(
+        "noethops.cli.EXAMPLE_SCRIPTS", [(f"exit-{c}", by_code[c]) for c in codes]
+    )
+    assert main(["examples"]) == worst
+    assert [line.split(": ")[1] for line in capsys.readouterr().out.splitlines()] == [
+        "ok" if c == 0 else f"exit {c}" for c in codes
+    ]

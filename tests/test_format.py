@@ -72,7 +72,7 @@ EXPECTED = {
         "x*dx",
         "-3/2*dy^2 + x*dx - 1",
         "0",
-        "e[1] + -3/2*e[x] + -1*e[y^2]",
+        "e[1] - 3/2*e[x] - e[y^2]",
         "T^3 - T^2 - 3/2",
         "3/2",
         "0",
@@ -117,7 +117,7 @@ EXPECTED = {
         "x*dx",
         "(-1/2*t^2 + 1/2)/t*dy^2 + x*dx - 1",
         "0",
-        "e[1] + (-1/2*t^2 + 1/2)/t*e[x] + -1*e[y^2]",
+        "e[1] + (-1/2*t^2 + 1/2)/t*e[x] - e[y^2]",
         "T^3 - T^2 + (-1/2*t^2 + 1/2)/t",
         "(1/2*t^2 - 1/2)/t",
         "0",
@@ -132,7 +132,7 @@ EXPECTED = {
         "x*dx",
         "(u + t)*dy^2 + x*dx + 2",
         "0",
-        "e[1] + u + t*e[x] + 2*e[y^2]",
+        "e[1] + (u + t)*e[x] + 2*e[y^2]",
         "T^3 + 2*T^2 + (u + t)",
         "(2*u + 2*t)",
         "0",
@@ -147,7 +147,7 @@ EXPECTED = {
         "x*dx",
         "(u - 1)*dy^2 + x*dx - 1",
         "0",
-        "e[1] + u - 1*e[x] + -1*e[y^2]",
+        "e[1] + (u - 1)*e[x] - e[y^2]",
         "T^3 - T^2 + (u - 1)",
         "(-u + 1)",
         "0",

@@ -17,7 +17,7 @@ SRC = str(Path(noethops.__file__).resolve().parents[1])
 
 DEMO_SHA256 = {
     "01_rings_and_groebner.py": "cc9c7507e072bc32a1dd783bc9a0166e5a90dee27c74b7106dcc7fc4d1bc6d2b",
-    "02_noetherian_operators.py": "9ea6000890e22c51d768281b964dcd0b9ddb1ef3e18607b94dce98348625377d",
+    "02_noetherian_operators.py": "e3e6bcef048a5547b1e29b6c86b82c7d7507f819895d80f6858715ca9fb46524",
     "03_singular_cubic.py": "62e68256a3c7e29c81277d355e28af805b787e7cba260330bc350a982a483f76",
     "04_inseparable_point.py": "46f335df91dee550141ed0e803b16e57205a2b6ab14d64a59ed1be4e4c288fdb",
     "05_power_chain.py": "4a956b294f66ae7550547ed4367e27791f395629e6f3005004946c1db0dc8bb0",
