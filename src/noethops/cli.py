@@ -273,18 +273,15 @@ class _ScriptParser:
         return None
 
     def _close(self, *args, binds=False):
-        """End a statement: read 'as NAME' when the command binds an ideal,
-        then the ';', then check that each (name token, kinds) argument is
-        declared with one of its kinds.  Returns the bound name or None."""
-        bind = None
-        if binds and self.ts.accept(NAME, "as"):
-            tok = self.ts.expect(NAME)
-            self.script.declare(tok[1], "ideal", None, tok[2])
-            bind = tok[1]
+        """End a statement: 'as NAME' if the command binds an ideal, ';', then
+        check each (name token, kinds) argument; declare and return NAME."""
+        bind = self.ts.expect(NAME) if binds and self.ts.accept(NAME, "as") else None
         self.ts.expect(SYM, ";")
         for tok, kinds in args:
             self.script.lookup(tok[1], kinds, tok[2])
-        return bind
+        if bind:
+            self.script.declare(bind[1], "ideal", None, bind[2])
+        return bind and bind[1]
 
     # -- statements -------------------------------------------------------
 

@@ -23,10 +23,17 @@ operand as a value of its own type, or None), ``+``, unary ``-``, ``*``,
 ``_key()`` (what ``==`` compares), ``_one()`` (where ``**`` starts) unless
 it overrides ``**``, ``inverse()`` if it is a field value, and its own
 ``__hash__`` if it is hashable.
+
+Each field is also the Groebner kernel's domain of raw values: ints in
+[0, p) for ``GF(p)``, reduced ``(num, den)`` pairs with den > 0 (None for 0)
+for ``QQ``, the elements themselves above them (:class:`ElementDomain`).
+``to_raw``/``from_raw`` convert; ``submul(acc, c, t)`` is acc - c*t (acc
+None is 0), falsy exactly when zero; ``mul`` and ``inv`` take nonzero values.
 """
 
 from fractions import Fraction
 from functools import lru_cache
+from math import gcd
 
 from .errors import (
     IncompatibleFieldError,
@@ -80,12 +87,13 @@ class RationalField:
     """The field Q.  Elements are plain ``fractions.Fraction`` values."""
 
     characteristic = 0
+    _one = Fraction(1)
 
     def zero(self):
         return Fraction(0)
 
     def one(self):
-        return Fraction(1)
+        return self._one
 
     def from_int(self, n):
         return Fraction(n)
@@ -102,6 +110,31 @@ class RationalField:
 
     def format(self, a):
         return str(a)
+
+    def to_raw(self, a):
+        return (a.numerator, a.denominator) if a else None
+
+    def from_raw(self, r):
+        return Fraction(*r) if r else Fraction(0)
+
+    # Cross-reduced product and gcd-pruned difference, as in fractions.
+    def mul(self, a, b):
+        (n1, d1), (n2, d2) = a, b
+        g1, g2 = gcd(n1, d2), gcd(n2, d1)
+        return (n1 // g1) * (n2 // g2), (d1 // g2) * (d2 // g1)
+
+    def submul(self, acc, c, t):
+        n, d = self.mul(c, t)
+        if acc is None:
+            return -n, d
+        g = gcd(acc[1], d)
+        s = acc[1] // g
+        n = acc[0] * (d // g) - n * s
+        g = gcd(n, g)
+        return (n // g, s * (d // g)) if n else None
+
+    def inv(self, a):
+        return a[::-1] if a[0] > 0 else (-a[1], -a[0])
 
     def __eq__(self, other):
         return isinstance(other, RationalField)
@@ -126,12 +159,13 @@ class PrimeField:
             raise ValueError("prime-field moduli are limited to machine-word size")
         self.p = p
         self.characteristic = p
+        self._one = PrimeFieldElem(1, p)
 
     def zero(self):
         return PrimeFieldElem(0, self.p)
 
     def one(self):
-        return PrimeFieldElem(1, self.p)
+        return self._one
 
     def from_int(self, n):
         return PrimeFieldElem(n % self.p, self.p)
@@ -150,6 +184,21 @@ class PrimeField:
 
     def format(self, a):
         return str(a.value)
+
+    def to_raw(self, a):
+        return a.value
+
+    def from_raw(self, r):
+        return PrimeFieldElem(r, self.p)
+
+    def submul(self, acc, c, t):
+        return ((acc or 0) - c * t) % self.p
+
+    def mul(self, a, b):
+        return a * b % self.p
+
+    def inv(self, a):
+        return pow(a, -1, self.p)
 
     def __eq__(self, other):
         return isinstance(other, PrimeField) and other.p == self.p
@@ -257,8 +306,8 @@ class PrimeFieldElem(FieldValue):
 
     __radd__ = __add__
 
-    # Direct, not self + (-other): the Groebner kernel's inner loop
-    # subtracts, and this makes one object instead of two.
+    # Direct, not self + (-other): elimination in linalg.rref subtracts in
+    # its inner loop, and this makes one object instead of two.
     def __sub__(self, other):
         other = self._lift(other)
         if other is None:
@@ -333,7 +382,8 @@ class UniPoly(RingValue):
         return not self.coeffs
 
     def is_one(self):
-        return len(self.coeffs) == 1 and self.coeffs[0] == self.field.one()
+        raw = self.field.to_raw
+        return len(self.coeffs) == 1 and raw(self.coeffs[0]) == raw(self.field.one())
 
     @property
     def lead(self):
@@ -479,7 +529,25 @@ def uni_ext_gcd(a, b):
     return r0.monic(), s0 * scale, t0 * scale
 
 
-class RatFuncField:
+class ElementDomain:
+    """Kernel domain operations of a field whose raw value is the element."""
+
+    def to_raw(self, a):
+        return a
+
+    from_raw = to_raw
+
+    def submul(self, acc, c, t):
+        return -(c * t) if acc is None else acc - c * t
+
+    def mul(self, a, b):
+        return a * b
+
+    def inv(self, a):
+        return a.inverse()
+
+
+class RatFuncField(ElementDomain):
     """Rational function field base(var), e.g. F_p(t) or Q(t)."""
 
     def __init__(self, base, var="t"):
@@ -624,7 +692,7 @@ class RatFunc(FieldValue):
         return self.field.format(self)
 
 
-class AlgExtField:
+class AlgExtField(ElementDomain):
     """Simple extension base[u]/(m(u)); m monic, caller-certified irreducible."""
 
     def __init__(self, base, var, minpoly):

@@ -12,6 +12,10 @@ flat int tuple computed once per term and never arity-checked (only the
 public ``key`` and ``compare`` check); a cancelled term is skipped when
 popped.  Pending pairs sit in a heap too.
 
+The kernel computes on raw coefficients through its field's domain
+operations (see ``fields``).  Only ``Ideal`` converts, lifting generators
+and ``f``, wrapping bases and remainders; its cached records keep raw tails.
+
 Intersections and saturations go through an auxiliary variable and a
 block elimination order, the standard single-variable constructions.
 """
@@ -21,11 +25,9 @@ from itertools import combinations_with_replacement, product
 from operator import add, le, neg, sub
 
 from .errors import ArityMismatchError, IncompatibleFieldError
-from .fields import invert
 from .poly import (
     Polynomial,
     PolyRing,
-    add_into,
     grevlex_key,
     monomial_div,
     monomial_divides,
@@ -116,8 +118,12 @@ def _tail(terms, lt):
     return tuple((m, c) for m, c in terms.items() if m != lt)
 
 
-def _reduce_terms(terms, basis, hkey):
-    """Full normal form of a term dict against (leading monomial, tail)
+def _convert(terms, fn):
+    return {m: fn(c) for m, c in terms.items()}
+
+
+def _reduce_terms(terms, basis, hkey, submul):
+    """Full normal form of a raw term dict against (leading monomial, tail)
     records sorted ascending by leading monomial; the first divisor found
     is therefore the one with the smallest leading monomial.  The work
     set's terms sit in a heap on hkey, so the biggest comes out first."""
@@ -140,7 +146,7 @@ def _reduce_terms(terms, basis, hkey):
         for tm, tc in tail:
             k2 = tuple(map(add, tm, shift))
             old = work.get(k2)
-            s = -(c * tc) if old is None else old - c * tc
+            s = submul(old, c, tc)
             if s:
                 if old is None:
                     heappush(heap, (hkey(k2), k2))
@@ -155,6 +161,7 @@ class _GB:
 
     def __init__(self, order):
         self.hkey = order.heap_key()
+        self.dom = order.ring.field
         self.elems = []    # term dicts, monic, never removed
         self.lts = []
         self.hkeys = []    # heap key of each leading monomial
@@ -170,15 +177,15 @@ class _GB:
     def reduce(self, terms):
         if self.records is None:
             self.records = [(self.lts[i], self.tails[i]) for i in self._sorted_active()]
-        return _reduce_terms(terms, self.records, self.hkey)
+        return _reduce_terms(terms, self.records, self.hkey, self.dom.submul)
 
     def add(self, terms):
         """Gebauer-Moller UPDATE with the new monic element."""
         hkey = self.hkey
         h = len(self.elems)
         lt_h = min(terms, key=hkey)
-        inv = invert(terms[lt_h])
-        terms = {m: c * inv for m, c in terms.items()}
+        mul, inv = self.dom.mul, self.dom.inv(terms[lt_h])
+        terms = {m: mul(c, inv) for m, c in terms.items()}
         self.elems.append(terms)
         self.lts.append(lt_h)
         self.hkeys.append(hkey(lt_h))
@@ -220,7 +227,13 @@ class _GB:
         l = monomial_lcm(self.lts[i], self.lts[j])
         a = _mono_shift(self.tails[i], monomial_div(l, self.lts[i]))
         shift = monomial_div(l, self.lts[j])
-        return add_into(a, ((monomial_mul(m, shift), -c) for m, c in self.tails[j]))
+        submul, one = self.dom.submul, self.dom.to_raw(self.dom.one())
+        for m, c in self.tails[j]:
+            k = monomial_mul(m, shift)
+            s = submul(a.pop(k, None), one, c)
+            if s:
+                a[k] = s
+        return a
 
     def run(self, gen_terms):
         """Reduced basis as (leading monomial, terms, tail) records sorted
@@ -238,7 +251,7 @@ class _GB:
         ascending = self._sorted_active()
         for g in self.active:
             others = [(self.lts[i], self.tails[i]) for i in ascending if i != g]
-            self.elems[g] = _reduce_terms(self.elems[g], others, self.hkey)
+            self.elems[g] = _reduce_terms(self.elems[g], others, self.hkey, self.dom.submul)
             self.tails[g] = _tail(self.elems[g], self.lts[g])
         return [(self.lts[g], self.elems[g], self.tails[g]) for g in ascending]
 
@@ -266,9 +279,10 @@ class Ideal:
     @property
     def groebner_basis(self):
         if self._gb is None:
-            recs = _GB(self.order).run([dict(g.terms) for g in self.generators])
+            dom = self.ring.field
+            recs = _GB(self.order).run([_convert(g.terms, dom.to_raw) for g in self.generators])
             self._records = [(lt, tail) for lt, _, tail in recs]
-            self._gb = tuple(Polynomial(self.ring, t) for _, t, _ in recs)
+            self._gb = tuple(Polynomial(self.ring, _convert(t, dom.from_raw)) for _, t, _ in recs)
         return self._gb
 
     def _gb_records(self):
@@ -282,8 +296,9 @@ class Ideal:
             raise IncompatibleFieldError("polynomial from a different ring")
         if not self.generators:
             return f
-        recs = self._gb_records()
-        return Polynomial(self.ring, _reduce_terms(f.terms, recs, self.order.heap_key()))
+        recs, dom = self._gb_records(), self.ring.field
+        rem = _reduce_terms(_convert(f.terms, dom.to_raw), recs, self.order.heap_key(), dom.submul)
+        return Polynomial(self.ring, _convert(rem, dom.from_raw))
 
     def contains(self, f):
         return self.normal_form(f).is_zero()

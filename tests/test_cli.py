@@ -312,7 +312,7 @@ def test_bound_zero_is_honoured():
 # Every malformed statement below, after MALFORMED_HEAD, raises this exact
 # exception with this exact message.  The order of the checks is part of
 # the contract: a missing ';' is reported before an undeclared name, and
-# an 'as NAME' clause is declared before the arguments are looked up.
+# the arguments are looked up before an 'as NAME' clause is declared.
 MALFORMED_HEAD = (
     "field QQ; ring [x, y]; point O = (0, 0); poly f = x + y; "
     "ideal I = x^2, y; prime m = x, y : point O; "
@@ -321,6 +321,9 @@ MALFORMED = [
     ("gb nope", ParseError, "expected ';', found None (at position 108)"),
     ("gb nope;", UndeclaredNameError, "undeclared name 'nope' (at position 104)"),
     ("gb I as I;", ParseError, "name 'I' already declared (at position 109)"),
+    ("gb nope as nope;", UndeclaredNameError, "undeclared name 'nope' (at position 104)"),
+    ("gb O as O;", ParseError,
+     "'O' is a point, expected one of ['ideal', 'prime'] (at position 104)"),
     ("gb O;", ParseError, "'O' is a point, expected one of ['ideal', 'prime'] (at position 104)"),
     ("gb I as;", ParseError, "expected 'name', found ';' (at position 108)"),
     ("gb I J;", ParseError, "expected ';', found 'J' (at position 106)"),

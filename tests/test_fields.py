@@ -27,6 +27,7 @@ from conftest import random_elem, random_nonzero
 
 F5 = GF(5)
 F2T = RatFuncField(GF(2), "t")
+F5T = RatFuncField(GF(5), "t")
 QT = RatFuncField(QQ, "t")
 
 
@@ -72,6 +73,28 @@ def test_invert_examples():
     assert b == (t + 1) / t
     # re-normalized monic denominator
     assert b.den.lead == GF(2).one()
+
+
+@pytest.mark.parametrize("field", [GF(32003), GF(2), QQ, F5T], ids=repr)
+def test_raw_domain_matches_wrapped_arithmetic(field):
+    """The Groebner kernel's raw operations agree with element arithmetic,
+    return canonical raw values, and give a falsy value exactly for zero."""
+    rng = random.Random(f"raw-domain-{field!r}")
+    raw, back = field.to_raw, field.from_raw
+    zero = field.zero()
+    cancelled = 0
+    for _ in range(300):
+        c, t = random_nonzero(field, rng), random_nonzero(field, rng)
+        acc = rng.choice([None, zero, c * t, random_elem(field, rng)])
+        s = field.submul(None if acc is None else raw(acc), raw(c), raw(t))
+        want = (zero if acc is None else acc) - c * t
+        assert back(s) == want and bool(s) == bool(want)
+        cancelled += not s
+        for r, value in ((s, want), (field.mul(raw(c), raw(t)), c * t),
+                         (field.inv(raw(c)), invert(c))):
+            assert back(r) == value
+            assert raw(back(r)) == r  # canonical: ints in [0, p), reduced pairs
+    assert cancelled > 10
 
 
 def test_invert_zero_fails():

@@ -4,7 +4,7 @@ import random
 import pytest
 
 from noethops.errors import ArityMismatchError
-from noethops.fields import GF, QQ
+from noethops.fields import GF, QQ, AlgExtField, RatFuncField, UniPoly
 from noethops.groebner import (
     Ideal,
     MonomialOrder,
@@ -314,6 +314,72 @@ def test_cyclic4_reduced_bases_pinned():
     ):
         gb = ideal(ring, *CYCLIC4, order=order).groebner_basis
         assert [str(g) for g in gb] == CYCLIC4_BASES[repr(order)]
+
+
+CYCLIC4_GF32003_BASES = {
+    "lex": [
+        "c^2*d^6 + 32002*c^2*d^2 + 32002*d^4 + 1",
+        "c^3*d^2 + c^2*d^3 + 32002*c + 32002*d",
+        "b*d^4 + d^5 + 32002*b + 32002*d",
+        "c^2*d^4 + b*c + 32002*b*d + c*d + 32001*d^2",
+        "b^2 + 2*b*d + d^2",
+        "a + b + c + d",
+    ],
+    "grevlex": [
+        "a + b + c + d",
+        "b^2 + 2*b*d + d^2",
+        "b*c^2 + c^2*d + 32002*b*d^2 + 32002*d^3",
+        "b*c*d^2 + c^2*d^2 + 32002*b*d^3 + c*d^3 + 32002*d^4 + 32002",
+        "b*d^4 + d^5 + 32002*b + 32002*d",
+        "c^3*d^2 + c^2*d^3 + 32002*c + 32002*d",
+        "c^2*d^4 + b*c + 32002*b*d + c*d + 32001*d^2",
+    ],
+    "elimination(2)": [
+        "c^3*d^2 + c^2*d^3 + 32002*c + 32002*d",
+        "c^2*d^6 + 32002*c^2*d^2 + 32002*d^4 + 1",
+        "c^2*d^4 + b*c + 32002*b*d + c*d + 32001*d^2",
+        "b*d^4 + d^5 + 32002*b + 32002*d",
+        "a + b + c + d",
+        "b^2 + 2*b*d + d^2",
+    ],
+}
+
+
+def test_cyclic4_reduced_bases_pinned_over_gf32003():
+    ring = PolyRing(GF(32003), ["a", "b", "c", "d"])
+    for order in (
+        MonomialOrder.lex(ring),
+        MonomialOrder.grevlex(ring),
+        MonomialOrder.elimination(ring, 2),
+    ):
+        gb = ideal(ring, *CYCLIC4, order=order).groebner_basis
+        assert [str(g) for g in gb] == CYCLIC4_GF32003_BASES[repr(order)]
+    I = ideal(ring, *CYCLIC4)
+    nf = I.normal_form(ring.parse("a^3*b^2 + 5*c^4*d - 7"))
+    assert str(nf) == "5*c^4*d + 32002*c^2*d^3 + 32002*b + 32002*c + 31996"
+
+
+def _f3t_tower():
+    K = RatFuncField(GF(3), "t")
+    t = K.generator()
+    return AlgExtField(K, "u", UniPoly(K, [-t, K.zero(), K.zero(), K.one()]))
+
+
+# Fields whose kernel values are the elements themselves: reduced bases
+# and one normal form, captured before the kernel computed on raw values.
+@pytest.mark.parametrize("field, gens, basis, f, remainder", [
+    (RatFuncField(GF(5), "t"), ("t*x^2 + y^2 - 1", "x*y - t - 1"),
+     ["x*y + (4*t + 4)", "x^2 + 1/t*y^2 + 4/t", "y^3 + (t^2 + t)*x + 4*y"],
+     "x^3 + t*y^4", "t*y^2 + 1/t*x + (4*t + 4)/t*y + (4*t^4 + 3*t^3 + 4*t^2)"),
+    (_f3t_tower(), ("u*x^2 - t*y", "x*y^2 - u - 1"),
+     ["x^2 + 2*u^2*y", "y^3 + (2/t*u^2 + 2/t*u)*x", "x*y^2 + (2*u + 2)"],
+     "x^3*y + u*y^3", "(1/t*u^2 + 1)*x + (u^2 + t)"),
+], ids=["Fp(t)", "tower"])
+def test_element_domain_bases_pinned(field, gens, basis, f, remainder):
+    ring = PolyRing(field, ["x", "y"])
+    I = ideal(ring, *gens)
+    assert [str(g) for g in I.groebner_basis] == basis
+    assert str(I.normal_form(ring.parse(f))) == remainder
 
 
 def test_ideal_with_basis_survives_pickle():
