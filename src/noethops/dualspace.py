@@ -33,6 +33,7 @@ class DualFunctional:
         items = tuple(sorted(
             ((m, c) for m, c in coords.items() if c),
             key=lambda mc: grevlex_key(mc[0]),
+            reverse=True,
         ))
         return cls(ring, items)
 
@@ -104,8 +105,7 @@ def truncated_dual(I, point, k):
                 rows.append(row)
     vectors = kernel_basis(rows, len(columns), ring.field)
     functionals = [
-        DualFunctional.from_dict(ring, {columns[i]: v[i] for i in range(len(columns)) if v[i]})
-        for v in vectors
+        DualFunctional.from_dict(ring, {columns[i]: c for i, c in v.items()}) for v in vectors
     ]
     return DualBasis(ring, point, k, functionals)
 

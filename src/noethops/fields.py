@@ -15,20 +15,24 @@ Field objects mint and describe elements; the elements themselves carry
 the usual arithmetic dunders, so code over a generic field just writes
 ``a * b + c``.  Everything is immutable and hashable.
 
+The four fields derive from :class:`Field`, which defines once what they
+share: identity (``==`` and ``hash`` compare a per-field ``_ident()``
+tuple), no named generators, and the Groebner kernel's domain of raw
+values for a field whose raw value is the element itself.  ``QQ`` and
+``GF(p)`` override the domain with ints in [0, p) for ``GF(p)`` and reduced
+``(num, den)`` pairs with den > 0 (None for 0) for ``QQ``.
+``to_raw``/``from_raw`` convert; ``submul(acc, c, t)`` is acc - c*t (acc
+None is 0), falsy exactly when zero; ``mul`` and ``inv`` take nonzero values.
+
 Every exact value type other than ``Fraction`` derives its operators from
 one of two bases.  :class:`RingValue` gives ``-``, reflected ``-``, ``==``
 and ``**`` by square-and-multiply; :class:`FieldValue` adds ``/``,
-reflected ``/`` and negative powers.  A type defines ``_lift`` (the other
-operand as a value of its own type, or None), ``+``, unary ``-``, ``*``,
-``_key()`` (what ``==`` compares), ``_one()`` (where ``**`` starts) unless
-it overrides ``**``, ``inverse()`` if it is a field value, and its own
-``__hash__`` if it is hashable.
-
-Each field is also the Groebner kernel's domain of raw values: ints in
-[0, p) for ``GF(p)``, reduced ``(num, den)`` pairs with den > 0 (None for 0)
-for ``QQ``, the elements themselves above them (:class:`ElementDomain`).
-``to_raw``/``from_raw`` convert; ``submul(acc, c, t)`` is acc - c*t (acc
-None is 0), falsy exactly when zero; ``mul`` and ``inv`` take nonzero values.
+reflected ``/``, negative powers, ``_lift`` through the value's ``field``
+and ``repr`` through its ``format``.  A type defines ``+``, unary ``-``,
+``*``, ``_key()`` (what ``==`` compares), ``_one()`` (where ``**`` starts)
+unless it overrides ``**``, ``_lift`` (the other operand as a value of its
+own type, or None) unless it is a field value, ``inverse()`` if it is one,
+and its own ``__hash__`` if it is hashable.
 """
 
 from fractions import Fraction
@@ -83,7 +87,39 @@ def _is_prime(n):
     return True
 
 
-class RationalField:
+class Field:
+    """What the four coefficient fields share: identity from ``_ident()``,
+    no named generators, and the kernel domain of raw values that are the
+    elements themselves."""
+
+    def _ident(self):
+        return ()
+
+    def __eq__(self, other):
+        return self is other or (type(other) is type(self) and other._ident() == self._ident())
+
+    def __hash__(self):
+        return hash(self._ident())
+
+    def named_generators(self):
+        return {}
+
+    def to_raw(self, a):
+        return a
+
+    from_raw = to_raw
+
+    def submul(self, acc, c, t):
+        return -(c * t) if acc is None else acc - c * t
+
+    def mul(self, a, b):
+        return a * b
+
+    def inv(self, a):
+        return a.inverse()
+
+
+class RationalField(Field):
     """The field Q.  Elements are plain ``fractions.Fraction`` values."""
 
     characteristic = 0
@@ -104,9 +140,6 @@ class RationalField:
         if isinstance(x, int):
             return Fraction(x)
         raise IncompatibleFieldError(f"cannot coerce {x!r} into QQ")
-
-    def named_generators(self):
-        return {}
 
     def format(self, a):
         return str(a)
@@ -136,12 +169,6 @@ class RationalField:
     def inv(self, a):
         return a[::-1] if a[0] > 0 else (-a[1], -a[0])
 
-    def __eq__(self, other):
-        return isinstance(other, RationalField)
-
-    def __hash__(self):
-        return hash("QQ")
-
     def __repr__(self):
         return "QQ"
 
@@ -149,7 +176,7 @@ class RationalField:
 QQ = RationalField()
 
 
-class PrimeField:
+class PrimeField(Field):
     """F_p for a prime p below 2**64."""
 
     def __init__(self, p):
@@ -159,28 +186,25 @@ class PrimeField:
             raise ValueError("prime-field moduli are limited to machine-word size")
         self.p = p
         self.characteristic = p
-        self._one = PrimeFieldElem(1, p)
+        self._one = PrimeFieldElem(1, self)
 
     def zero(self):
-        return PrimeFieldElem(0, self.p)
+        return PrimeFieldElem(0, self)
 
     def one(self):
         return self._one
 
     def from_int(self, n):
-        return PrimeFieldElem(n % self.p, self.p)
+        return PrimeFieldElem(n, self)
 
     def coerce(self, x):
         if isinstance(x, PrimeFieldElem):
-            if x.p != self.p:
-                raise IncompatibleFieldError(f"element of F_{x.p} used in F_{self.p}")
+            if x.field != self:
+                raise IncompatibleFieldError(f"element of {x.field!r} used in {self!r}")
             return x
         if isinstance(x, int):
             return self.from_int(x)
-        raise IncompatibleFieldError(f"cannot coerce {x!r} into F_{self.p}")
-
-    def named_generators(self):
-        return {}
+        raise IncompatibleFieldError(f"cannot coerce {x!r} into {self!r}")
 
     def format(self, a):
         return str(a.value)
@@ -189,7 +213,7 @@ class PrimeField:
         return a.value
 
     def from_raw(self, r):
-        return PrimeFieldElem(r, self.p)
+        return PrimeFieldElem(r, self)
 
     def submul(self, acc, c, t):
         return ((acc or 0) - c * t) % self.p
@@ -200,11 +224,8 @@ class PrimeField:
     def inv(self, a):
         return pow(a, -1, self.p)
 
-    def __eq__(self, other):
-        return isinstance(other, PrimeField) and other.p == self.p
-
-    def __hash__(self):
-        return hash(("GF", self.p))
+    def _ident(self):
+        return (self.p,)
 
     def __repr__(self):
         return f"GF({self.p})"
@@ -216,7 +237,11 @@ def GF(p):
 
 class RingValue:
     """Operators of a commutative ring value derived from its type's
-    ``_lift``, ``+``, unary ``-``, ``*``, ``_key`` and ``_one``."""
+    ``_lift``, ``+``, unary ``-``, ``*``, ``_key`` and ``_one``.
+
+    A value compares equal to the ints it lifts to, but cannot stand in for
+    them as a dict or set key: ``GF(7).from_int(3)`` equals both 3 and 10,
+    so no hash of it can agree with the hashes of ints."""
 
     __slots__ = ()
 
@@ -260,6 +285,18 @@ class FieldValue(RingValue):
 
     __slots__ = ()
 
+    def _lift(self, other):
+        if type(other) is type(self):
+            if other.field is not self.field and other.field != self.field:
+                raise IncompatibleFieldError(
+                    f"values of {other.field!r} and {self.field!r} mixed"
+                )
+            return other
+        try:
+            return self.field.coerce(other)
+        except IncompatibleFieldError:
+            return None
+
     def __truediv__(self, other):
         other = self._lift(other)
         if other is None:
@@ -277,32 +314,22 @@ class FieldValue(RingValue):
             return self.inverse() ** (-n)
         return super().__pow__(n)
 
+    def __repr__(self):
+        return self.field.format(self)
+
 
 class PrimeFieldElem(FieldValue):
-    __slots__ = ("value", "p")
+    __slots__ = ("value", "field")
 
-    def __init__(self, value, p):
-        self.value = value % p
-        self.p = p
-
-    @property
-    def field(self):
-        return PrimeField(self.p)
-
-    def _lift(self, other):
-        if isinstance(other, PrimeFieldElem):
-            if other.p != self.p:
-                raise IncompatibleFieldError("prime fields with different moduli")
-            return other
-        if isinstance(other, int):
-            return PrimeFieldElem(other, self.p)
-        return None
+    def __init__(self, value, field):
+        self.value = value % field.p
+        self.field = field
 
     def __add__(self, other):
         other = self._lift(other)
         if other is None:
             return NotImplemented
-        return PrimeFieldElem(self.value + other.value, self.p)
+        return PrimeFieldElem(self.value + other.value, self.field)
 
     __radd__ = __add__
 
@@ -312,29 +339,29 @@ class PrimeFieldElem(FieldValue):
         other = self._lift(other)
         if other is None:
             return NotImplemented
-        return PrimeFieldElem(self.value - other.value, self.p)
+        return PrimeFieldElem(self.value - other.value, self.field)
 
     def __mul__(self, other):
         other = self._lift(other)
         if other is None:
             return NotImplemented
-        return PrimeFieldElem(self.value * other.value, self.p)
+        return PrimeFieldElem(self.value * other.value, self.field)
 
     __rmul__ = __mul__
 
     def __neg__(self):
-        return PrimeFieldElem(-self.value, self.p)
+        return PrimeFieldElem(-self.value, self.field)
 
     # Modular pow is one builtin call in place of the square-and-multiply loop.
     def __pow__(self, n):
         if n < 0:
             return super().__pow__(n)
-        return PrimeFieldElem(pow(self.value, n, self.p), self.p)
+        return PrimeFieldElem(pow(self.value, n, self.field.p), self.field)
 
     def inverse(self):
         if self.value == 0:
-            raise NotInvertibleError(f"0 has no inverse in F_{self.p}")
-        return PrimeFieldElem(pow(self.value, -1, self.p), self.p)
+            raise NotInvertibleError(f"0 has no inverse in F_{self.field.p}")
+        return PrimeFieldElem(pow(self.value, -1, self.field.p), self.field)
 
     def _key(self):
         return self.value
@@ -343,10 +370,7 @@ class PrimeFieldElem(FieldValue):
         return self.value != 0
 
     def __hash__(self):
-        return hash((self.value, self.p))
-
-    def __repr__(self):
-        return f"{self.value}"
+        return hash((self.value, self.field.p))
 
 
 class UniPoly(RingValue):
@@ -465,15 +489,6 @@ class UniPoly(RingValue):
     def __floordiv__(self, other):
         return divmod(self, other)[0]
 
-    def evaluate(self, x):
-        """Horner evaluation; x may live in an extension of the field."""
-        if not self.coeffs:
-            return x - x if not isinstance(x, (int, Fraction)) else self.field.zero()
-        acc = None
-        for c in reversed(self.coeffs):
-            acc = c if acc is None else acc * x + c
-        return acc
-
     def monic(self):
         if self.is_zero():
             return self
@@ -529,25 +544,7 @@ def uni_ext_gcd(a, b):
     return r0.monic(), s0 * scale, t0 * scale
 
 
-class ElementDomain:
-    """Kernel domain operations of a field whose raw value is the element."""
-
-    def to_raw(self, a):
-        return a
-
-    from_raw = to_raw
-
-    def submul(self, acc, c, t):
-        return -(c * t) if acc is None else acc - c * t
-
-    def mul(self, a, b):
-        return a * b
-
-    def inv(self, a):
-        return a.inverse()
-
-
-class RatFuncField(ElementDomain):
+class RatFuncField(Field):
     """Rational function field base(var), e.g. F_p(t) or Q(t)."""
 
     def __init__(self, base, var="t"):
@@ -600,15 +597,8 @@ class RatFuncField(ElementDomain):
             ds = f"({ds})"
         return f"{sign}{ns}/{ds}"
 
-    def __eq__(self, other):
-        return (
-            isinstance(other, RatFuncField)
-            and other.base == self.base
-            and other.var == self.var
-        )
-
-    def __hash__(self):
-        return hash(("ratfunc", self.base, self.var))
+    def _ident(self):
+        return self.base, self.var
 
     def __repr__(self):
         return f"{self.base!r}({self.var})"
@@ -634,16 +624,6 @@ class RatFunc(FieldValue):
         self.field = field
         self.num = num
         self.den = den
-
-    def _lift(self, other):
-        if isinstance(other, RatFunc):
-            if other.field != self.field:
-                raise IncompatibleFieldError("rational functions over different bases")
-            return other
-        try:
-            return self.field.coerce(other)
-        except IncompatibleFieldError:
-            return None
 
     def __add__(self, other):
         other = self._lift(other)
@@ -688,11 +668,8 @@ class RatFunc(FieldValue):
     def __hash__(self):
         return hash((self.num, self.den))
 
-    def __repr__(self):
-        return self.field.format(self)
 
-
-class AlgExtField(ElementDomain):
+class AlgExtField(Field):
     """Simple extension base[u]/(m(u)); m monic, caller-certified irreducible."""
 
     def __init__(self, base, var, minpoly):
@@ -733,16 +710,8 @@ class AlgExtField(ElementDomain):
     def format(self, a):
         return a.rep.to_str(self.var)
 
-    def __eq__(self, other):
-        return (
-            isinstance(other, AlgExtField)
-            and other.base == self.base
-            and other.var == self.var
-            and other.minpoly == self.minpoly
-        )
-
-    def __hash__(self):
-        return hash(("algext", self.base, self.var, self.minpoly))
+    def _ident(self):
+        return self.base, self.var, self.minpoly
 
     def __repr__(self):
         return f"{self.base!r}[{self.var}]/({self.minpoly.to_str(self.var)})"
@@ -756,16 +725,6 @@ class AlgExtElem(FieldValue):
             rep = rep % field.minpoly
         self.field = field
         self.rep = rep
-
-    def _lift(self, other):
-        if isinstance(other, AlgExtElem):
-            if other.field != self.field:
-                raise IncompatibleFieldError("elements of different extensions")
-            return other
-        try:
-            return self.field.coerce(other)
-        except IncompatibleFieldError:
-            return None
 
     def __add__(self, other):
         other = self._lift(other)
@@ -809,9 +768,6 @@ class AlgExtElem(FieldValue):
 
     def __hash__(self):
         return hash(("ext", self.rep))
-
-    def __repr__(self):
-        return self.field.format(self)
 
 
 def field_of(x):

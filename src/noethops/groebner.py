@@ -7,10 +7,10 @@ lcm-divisibility criteria plus Buchberger's coprimality criterion, with
 the normal selection strategy (smallest lcm degree, ties broken by the
 monomial order, then by pair index) so runs are deterministic.
 
-Reduction pops the next term from a heap on ``MonomialOrder.heap_key``, a
-flat int tuple computed once per term and never arity-checked (only the
-public ``key`` and ``compare`` check); a cancelled term is skipped when
-popped.  Pending pairs sit in a heap too.
+Reduction pops the next term from a heap on ``MonomialOrder.key``, a flat
+int tuple computed once per term and never arity-checked (only ``compare``
+checks); a cancelled term is skipped when popped.  Pending pairs sit in a
+heap too.
 
 The kernel computes on raw coefficients through its field's domain
 operations (see ``fields``).  Only ``Ideal`` converts, lifting generators
@@ -20,6 +20,7 @@ Intersections and saturations go through an auxiliary variable and a
 block elimination order, the standard single-variable constructions.
 """
 
+from functools import partial
 from heapq import heapify, heappop, heappush
 from itertools import combinations_with_replacement, product
 from operator import add, le, neg, sub
@@ -38,11 +39,26 @@ from .poly import (
 LEX, GREVLEX, ELIM = "lex", "grevlex", "elimination"
 
 
+def _lex_key(mono):
+    return tuple(map(neg, mono))
+
+
+def _elim_key(block, mono):
+    return grevlex_key(mono[:block]) + grevlex_key(mono[block:])
+
+
 class MonomialOrder:
-    """Total order on monomials refining divisibility."""
+    """Total order on monomials refining divisibility.  ``key`` is a flat
+    int tuple, smaller for bigger monomials, and does not check arity."""
 
     def __init__(self, kind, ring, block=0):
-        if kind not in (LEX, GREVLEX, ELIM):
+        if kind == GREVLEX:
+            self.key = grevlex_key
+        elif kind == LEX:
+            self.key = _lex_key
+        elif kind == ELIM:
+            self.key = partial(_elim_key, block)
+        else:
             raise ValueError(f"unknown order kind {kind!r}")
         self.kind = kind
         self.ring = ring
@@ -61,33 +77,15 @@ class MonomialOrder:
         """Block order eliminating the first k variables."""
         return cls(ELIM, ring, block=k)
 
-    def key(self, mono):
-        if len(mono) != self.ring.nvars:
-            raise ArityMismatchError(
-                f"monomial arity {len(mono)} != ring arity {self.ring.nvars}"
-            )
-        if self.kind == GREVLEX:
-            return grevlex_key(mono)
-        if self.kind == LEX:
-            return tuple(mono)
-        k = self.block
-        return (grevlex_key(mono[:k]), grevlex_key(mono[k:]))
-
-    def heap_key(self):
-        """The kernel's unchecked flat key, smaller for bigger monomials."""
-        if self.kind == GREVLEX:
-            return _grevlex_flat
-        if self.kind == LEX:
-            return lambda m: tuple(map(neg, m))
-        k = self.block
-        return lambda m: _grevlex_flat(m[:k]) + _grevlex_flat(m[k:])
-
     def compare(self, m1, m2):
+        n = self.ring.nvars
+        if len(m1) != n or len(m2) != n:
+            raise ArityMismatchError(f"monomial arities {len(m1)}, {len(m2)} != ring arity {n}")
         k1, k2 = self.key(m1), self.key(m2)
-        return (k1 > k2) - (k1 < k2)
+        return (k1 < k2) - (k1 > k2)
 
     def leading_monomial(self, f):
-        return max(f.terms, key=self.key)
+        return min(f.terms, key=self.key)
 
     def __eq__(self, other):
         return (
@@ -104,10 +102,6 @@ class MonomialOrder:
         if self.kind == ELIM:
             return f"elimination({self.block})"
         return self.kind
-
-
-def _grevlex_flat(m):
-    return (-sum(m),) + m[::-1]
 
 
 def _mono_shift(pairs, shift):
@@ -160,7 +154,7 @@ class _GB:
     """Working state for Buchberger with Gebauer-Moller pair pruning."""
 
     def __init__(self, order):
-        self.hkey = order.heap_key()
+        self.hkey = order.key
         self.dom = order.ring.field
         self.elems = []    # term dicts, monic, never removed
         self.lts = []
@@ -297,14 +291,11 @@ class Ideal:
         if not self.generators:
             return f
         recs, dom = self._gb_records(), self.ring.field
-        rem = _reduce_terms(_convert(f.terms, dom.to_raw), recs, self.order.heap_key(), dom.submul)
+        rem = _reduce_terms(_convert(f.terms, dom.to_raw), recs, self.order.key, dom.submul)
         return Polynomial(self.ring, _convert(rem, dom.from_raw))
 
     def contains(self, f):
         return self.normal_form(f).is_zero()
-
-    def equals(self, other):
-        return ideal_equal(self, other)
 
     def is_unit_ideal(self):
         gb = self.groebner_basis
@@ -338,7 +329,7 @@ class Ideal:
             for m in product(*(range(c) for c in caps))
             if not any(monomial_divides(lt, m) for lt in lts)
         ]
-        out.sort(key=grevlex_key)
+        out.sort(key=grevlex_key, reverse=True)
         return out
 
     def __add__(self, other):

@@ -38,23 +38,22 @@ def rref(rows, ncols):
 
 
 def kernel_basis(rows, ncols, field):
-    """Echelonized basis of the right kernel.
+    """Echelonized basis of the right kernel as sparse {column: value}
+    vectors, columns ascending.
 
     One basis vector per free column, carrying 1 there and 0 at every
     other free column; ordered by free column index ascending.
     """
     reduced, pivots = rref(rows, ncols)
     pivot_set = set(pivots)
-    free = [c for c in range(ncols) if c not in pivot_set]
-    zero = field.zero()
     one = field.one()
     basis = []
-    for fc in free:
-        v = [zero] * ncols
+    for fc in range(ncols):
+        if fc in pivot_set:
+            continue
+        # only rows pivoting left of fc can be nonzero there: keys ascend
+        v = {pc: -row[fc] for row, pc in zip(reduced, pivots) if row[fc]}
         v[fc] = one
-        for row, pc in zip(reduced, pivots):
-            if row[fc]:
-                v[pc] = -row[fc]
         basis.append(v)
     return basis
 

@@ -29,8 +29,8 @@ from .fields import RingValue, extends, field_of, format_terms, invert, monomial
 
 
 def grevlex_key(mono):
-    """Sort key: bigger key = bigger monomial in graded reverse lex."""
-    return (sum(mono), tuple(-e for e in reversed(mono)))
+    """Sort key: smaller key = bigger monomial in graded reverse lex."""
+    return (-sum(mono),) + mono[::-1]
 
 
 def monomial_mul(a, b):
@@ -73,7 +73,7 @@ def monomials_up_to(nvars, degree):
             rec(prefix + [e], remaining - e, slots - 1)
 
     rec([], degree, nvars)
-    out.sort(key=grevlex_key)
+    out.sort(key=grevlex_key, reverse=True)
     return out
 
 
@@ -299,7 +299,7 @@ class Polynomial(RingValue):
         return len(degrees) <= 1
 
     def format(self):
-        ordered = sorted(self.terms.items(), key=lambda t: grevlex_key(t[0]), reverse=True)
+        ordered = sorted(self.terms.items(), key=lambda t: grevlex_key(t[0]))
         return format_terms((c, monomial_text(self.ring.variables, m)) for m, c in ordered)
 
     def __str__(self):

@@ -140,7 +140,6 @@ def diff_power_classical_graded(I, n, degree_bound):
         monos = monomials_of_degree(ring.nvars, d)
         if not monos:
             continue
-        col = {m: i for i, m in enumerate(monos)}
         rows = []
         for beta in betas:
             normal_forms = [I.normal_form(ring.monomial(m).diff_multi(beta)) for m in monos]
@@ -148,9 +147,7 @@ def diff_power_classical_graded(I, n, degree_bound):
             for s in support:
                 rows.append([nf.terms.get(s, zero) for nf in normal_forms])
         for v in kernel_basis(rows, len(monos), field):
-            f = Polynomial(ring, {m: v[col[m]] for m in monos if v[col[m]]})
-            if not f.is_zero():
-                gens.append(f)
+            gens.append(Polynomial(ring, {monos[i]: c for i, c in v.items()}))
     return Ideal(ring, gens, I.order)
 
 

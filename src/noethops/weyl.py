@@ -168,7 +168,6 @@ class DiffOp:
         return sorted(
             self.terms.items(),
             key=lambda kv: (grevlex_key(kv[0][1]), grevlex_key(kv[0][0])),
-            reverse=True,
         )
 
     def format(self):

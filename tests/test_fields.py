@@ -1,3 +1,4 @@
+import operator
 import random
 from fractions import Fraction
 
@@ -14,6 +15,7 @@ from noethops.fields import (
     AlgExtField,
     RatFunc,
     RatFuncField,
+    RationalField,
     UniPoly,
     field_of,
     invert,
@@ -309,3 +311,49 @@ def test_mixed_prime_fields():
         a - b
     assert not a == b
     assert a != b
+
+
+def _f3t_ext(var="u", base_var="t", shift=0):
+    # F_3(s)[var] / (var^3 - s - shift) with s the base variable
+    base = RatFuncField(GF(3), base_var)
+    s = base.generator()
+    return AlgExtField(base, var, UniPoly(base, [-s - shift, base.zero(), base.zero(), base.one()]))
+
+
+# (build, fields that differ in one of p, variable name, base or minimal
+# polynomial); `build` makes a new field object on every call.
+IDENTITY_CASES = {
+    "GF(7)": (lambda: GF(7), [GF(5)]),
+    "QQ": (RationalField, [GF(7), RatFuncField(QQ, "t")]),
+    "F_5(t)": (
+        lambda: RatFuncField(GF(5), "t"),
+        [RatFuncField(GF(7), "t"), RatFuncField(GF(5), "s"), RatFuncField(QQ, "t")],
+    ),
+    "F_3(t)[u]/(u^3-t)": (
+        _f3t_ext,
+        [_f3t_ext(var="v"), _f3t_ext(base_var="s"), _f3t_ext(shift=1)],
+    ),
+}
+
+
+@pytest.mark.parametrize("label", IDENTITY_CASES)
+def test_field_identity(label):
+    build, differing = IDENTITY_CASES[label]
+    a, b = build(), build()
+    assert a is not b and a == b and hash(a) == hash(b)
+    assert a.from_int(2) == b.from_int(2)
+    for other in differing:
+        assert a != other and other != a
+        c = other.from_int(2)
+        with pytest.raises(IncompatibleFieldError):
+            a.coerce(c)
+        if type(c) is type(a.from_int(2)):
+            for mixed in (operator.add, operator.sub, operator.mul, operator.truediv):
+                with pytest.raises(IncompatibleFieldError):
+                    mixed(a.from_int(2), c)
+
+
+def test_values_equal_ints_but_are_not_int_keys():
+    a = GF(7).from_int(3)
+    assert a == 3 and a == 10
+    assert 3 not in {a}

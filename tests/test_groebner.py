@@ -1,5 +1,6 @@
 import pickle
 import random
+from functools import cmp_to_key
 
 import pytest
 
@@ -263,11 +264,33 @@ R5 = PolyRing(QQ, ["a", "b", "c", "d", "e"])
     [MonomialOrder.lex(R5), MonomialOrder.grevlex(R5), MonomialOrder.elimination(R5, 2)],
     ids=repr,
 )
-def test_heap_key_reverses_order_key(order):
+def test_order_key_matches_textbook_definitions(order):
+    """The flat key (smaller for bigger monomials) sorts as the textbook
+    comparisons do: lex by the leftmost nonzero entry of a - b, grevlex by
+    degree then the rightmost nonzero entry of a - b (negative means
+    bigger), elimination(2) by grevlex on the first two variables, then
+    grevlex on the rest."""
+
+    def lex(a, b):
+        d = [x - y for x, y in zip(a, b) if x != y]
+        return (d[0] > 0) - (d[0] < 0) if d else 0
+
+    def grevlex(a, b):
+        if sum(a) != sum(b):
+            return (sum(a) > sum(b)) - (sum(a) < sum(b))
+        d = [x - y for x, y in zip(a, b) if x != y]
+        return (d[-1] < 0) - (d[-1] > 0) if d else 0
+
+    textbook = {
+        "lex": lex,
+        "grevlex": grevlex,
+        "elimination(2)": lambda a, b: grevlex(a[:2], b[:2]) or grevlex(a[2:], b[2:]),
+    }[repr(order)]
     rng = random.Random(20191)
     monos = list({tuple(rng.randint(0, 4) for _ in range(5)) for _ in range(300)})
-    hkey = order.heap_key()
-    assert sorted(monos, key=hkey) == sorted(monos, key=order.key)[::-1]
+    want = sorted(monos, key=cmp_to_key(textbook), reverse=True)
+    assert sorted(monos, key=order.key) == want
+    assert all(order.compare(a, b) == textbook(a, b) for a, b in zip(monos, monos[1:]))
 
 
 CYCLIC4 = (
