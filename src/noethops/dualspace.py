@@ -4,8 +4,10 @@ of Noetherian operators from them.
 The degree-k dual of an ideal I at a point alpha is computed as the
 kernel of the Macaulay matrix: shift the generators so alpha sits at the
 origin, impose Lambda(x^gamma * g_i(x + alpha)) = 0 for all |gamma| <= k,
-and solve exactly.  Functionals live in the divided-power basis e_beta
-(pairing <x^gamma, e_beta> = 1 iff gamma = beta), which keeps the whole
+and solve exactly.  The driver raises k until the dual stops growing,
+and stops at the standard-monomial count as soon as it is reached.
+Functionals live in the divided-power basis e_beta (pairing
+<x^gamma, e_beta> = 1 iff gamma = beta), which keeps the whole
 construction valid in any characteristic; conversion to honest d^beta
 operators multiplies by 1/beta! and is refused when beta! vanishes in
 the coefficient field.
@@ -117,16 +119,24 @@ def _default_safety_bound(I):
 def stable_dual(I, point, safety_bound=None):
     """Iterate k = 0, 1, ... until dim D_k = dim D_{k+1}; return D_k.
 
-    For an ideal primary to the maximal ideal of the point the dimension
-    stabilizes at the colength; if it is still growing at the safety
-    bound the ideal is not zero-dimensional at the point.
+    Stops early, without building D_{k+1}, once dim D_k reaches the
+    standard-monomial count: dim D_k <= the local multiplicity <= that
+    count, so equality means D_k is already the whole local dual and k is
+    the first order at which it stabilizes.  For an ideal primary to the
+    maximal ideal of the point the dimension stabilizes at the colength;
+    if it is still growing at the safety bound the ideal is not
+    zero-dimensional at the point.
     """
     if safety_bound is None:
         safety_bound = _default_safety_bound(I)
     if safety_bound < 1:
         raise ValueError("safety bound must be >= 1")
+    standard = I.standard_monomials()
+    count = None if standard is None else len(standard)
     prev = truncated_dual(I, point, 0)
     for k in range(1, safety_bound + 1):
+        if prev.dimension == count:
+            return prev
         cur = truncated_dual(I, point, k)
         if cur.dimension == prev.dimension:
             return prev

@@ -417,6 +417,10 @@ class UniPoly(RingValue):
 
     def _lift(self, other):
         if isinstance(other, UniPoly):
+            if other.field is not self.field and other.field != self.field:
+                raise IncompatibleFieldError(
+                    f"polynomials over {other.field!r} and {self.field!r} mixed"
+                )
             return other
         try:
             return UniPoly.const(self.field, other)

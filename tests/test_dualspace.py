@@ -81,6 +81,83 @@ def test_stable_dual_examples():
         stable_dual(ideal(R, "x"), ORIGIN)
 
 
+def _dual_until_equal(I, point):
+    """D_k at the first k with dim D_k = dim D_{k+1}, by brute force."""
+    prev = truncated_dual(I, point, 0)
+    while True:
+        cur = truncated_dual(I, point, prev.truncation_order + 1)
+        if cur.dimension == prev.dimension:
+            return prev
+        prev = cur
+
+
+def _seeded_primary_ideals(seed=20):
+    """m_alpha-primary ideals (u^a, v^b, h(u, v)) with u = x - alpha_1,
+    v = y - alpha_2 and h random without a constant term, over QQ and
+    GF(32003), at the origin and at a nonzero point."""
+    rng = random.Random(seed)
+    out = []
+    for field in (QQ, GF(32003)):
+        S = PolyRing(field, ["x", "y"])
+        for point in ((0, 0), (2, -3)):
+            point = tuple(field.coerce(c) for c in point)
+            back = [-c for c in point]
+            for _ in range(5):
+                h = {}
+                for _ in range(rng.randint(2, 4)):
+                    m = (rng.randint(0, 3), rng.randint(0, 3))
+                    if m != (0, 0):
+                        h[m] = field.from_int(rng.choice((-3, -2, -1, 1, 2, 3)))
+                gens = [
+                    S.monomial((rng.randint(1, 4), 0)),
+                    S.monomial((0, rng.randint(1, 4))),
+                    S.poly(h),
+                ]
+                out.append((ideal(S, *(g.translate(back) for g in gens)), point))
+    return out
+
+
+def test_stable_dual_stops_at_the_standard_count(monkeypatch):
+    import noethops.dualspace as dualspace
+
+    calls = []
+
+    def counted(I, point, k):
+        calls.append(k)
+        return truncated_dual(I, point, k)
+
+    monkeypatch.setattr(dualspace, "truncated_dual", counted)
+
+    # dim D_1 = 2 = #{1, x}: D_2 is never built
+    D = stable_dual(ideal(R, "x^2", "y"), ORIGIN)
+    assert (D.truncation_order, calls) == (1, [0, 1])
+
+    cases = _seeded_primary_ideals()
+    assert len(cases) == 20
+    for I, point in cases:
+        calls.clear()
+        D = stable_dual(I, point)
+        expected = _dual_until_equal(I, point)
+        assert D.truncation_order == expected.truncation_order
+        assert [lam.coords for lam in D] == [lam.coords for lam in expected]
+        assert calls == list(range(D.truncation_order + 1))
+
+    # refusals keep their type and message, at the default bound and at 1
+    for bound in (None, 1):
+        with pytest.raises(NotZeroDimensionalError) as err:
+            noetherian_operators(ideal(R, "x*(x - 1)", "y"), ORIGIN, bound)
+        assert str(err.value) == (
+            "stable dual dimension 1 disagrees with the standard-monomial count 2: "
+            "the ideal is not primary to the maximal ideal of the point"
+        )
+        with pytest.raises(NotZeroDimensionalError) as err:
+            noetherian_operators(ideal(R, "x"), ORIGIN, bound)
+        assert str(err.value) == (
+            f"dual-space dimension still growing at truncation {bound or 2}: "
+            "the ideal is not primary to the maximal ideal of the point"
+        )
+
+
 def test_noetherian_operators_examples():
     res = noetherian_operators(ideal(R, "x^2", "y"), ORIGIN)
     assert [str(op) for op in res.operators] == ["1", "dx"]

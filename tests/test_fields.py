@@ -313,6 +313,20 @@ def test_mixed_prime_fields():
     assert a != b
 
 
+@pytest.mark.parametrize(
+    "left, right", [(QQ, QT), (GF(5), GF(7))], ids=["QQ|QQ(t)", "GF(5)|GF(7)"]
+)
+def test_unipolys_over_different_fields_do_not_mix(left, right):
+    a = UniPoly(left, [left.one()])
+    b = UniPoly(right, [right.from_int(2), right.one()])
+    for mixed in (operator.add, operator.sub, operator.mul, divmod):
+        for x, y in ((a, b), (b, a)):
+            with pytest.raises(IncompatibleFieldError):
+                mixed(x, y)
+    assert not a == b and not b == a
+    assert a != b
+
+
 def _f3t_ext(var="u", base_var="t", shift=0):
     # F_3(s)[var] / (var^3 - s - shift) with s the base variable
     base = RatFuncField(GF(3), base_var)
