@@ -310,7 +310,10 @@ class _ScriptParser:
             names.append(self.ts.expect(NAME)[1])
         self.ts.expect(SYM, "]")
         self._close()
-        self.script.ring = PolyRing(self.script.field, names)
+        try:
+            self.script.ring = PolyRing(self.script.field, names)
+        except ValueError as exc:
+            raise ParseError(str(exc), pos) from None
 
     def stmt_poly(self, pos):
         name = self.ts.expect(NAME)

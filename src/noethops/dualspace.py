@@ -4,8 +4,10 @@ of Noetherian operators from them.
 The degree-k dual of an ideal I at a point alpha is computed as the
 kernel of the Macaulay matrix: shift the generators so alpha sits at the
 origin, impose Lambda(x^gamma * g_i(x + alpha)) = 0 for all |gamma| <= k,
-and solve exactly.  The driver raises k until the dual stops growing,
-and stops at the standard-monomial count as soon as it is reached.
+and solve exactly.  The driver raises k until the dimension reaches the
+standard-monomial count, which is its only stop and its certificate: a
+dual that stops growing short of the count, or an infinite count, means
+the ideal is not primary to the maximal ideal of the point.
 Functionals live in the divided-power basis e_beta (pairing
 <x^gamma, e_beta> = 1 iff gamma = beta), which keeps the whole
 construction valid in any characteristic; conversion to honest d^beta
@@ -112,39 +114,36 @@ def truncated_dual(I, point, k):
     return DualBasis(ring, point, k, functionals)
 
 
-def _default_safety_bound(I):
-    return 1 + sum(max(g.total_degree(), 1) for g in I.generators)
+def stable_dual(I, point):
+    """The whole local dual of I at the point, certified by the
+    standard-monomial count c of I.
 
-
-def stable_dual(I, point, safety_bound=None):
-    """Iterate k = 0, 1, ... until dim D_k = dim D_{k+1}; return D_k.
-
-    Stops early, without building D_{k+1}, once dim D_k reaches the
-    standard-monomial count: dim D_k <= the local multiplicity <= that
-    count, so equality means D_k is already the whole local dual and k is
-    the first order at which it stabilizes.  For an ideal primary to the
-    maximal ideal of the point the dimension stabilizes at the colength;
-    if it is still growing at the safety bound the ideal is not
-    zero-dimensional at the point.
+    dim D_k = dim R_m/(I + m^{k+1}) grows strictly with k until it stalls
+    and then never grows again (Nakayama); it is at most the local
+    multiplicity, which is at most c.  So D_k is returned at the first k
+    where dim D_k = c, within c + 1 orders, and that equality certifies
+    that I is primary to the maximal ideal of the point.  An ideal whose
+    count is infinite is refused before any dual is built, and one whose
+    dual stops growing short of c is refused when it stalls.
     """
-    if safety_bound is None:
-        safety_bound = _default_safety_bound(I)
-    if safety_bound < 1:
-        raise ValueError("safety bound must be >= 1")
     standard = I.standard_monomials()
-    count = None if standard is None else len(standard)
+    if standard is None:
+        raise NotZeroDimensionalError(
+            "the standard-monomial count is infinite: the ideal is not primary "
+            "to the maximal ideal of the point"
+        )
+    count = len(standard)
     prev = truncated_dual(I, point, 0)
-    for k in range(1, safety_bound + 1):
-        if prev.dimension == count:
-            return prev
-        cur = truncated_dual(I, point, k)
+    while prev.dimension != count:
+        cur = truncated_dual(I, point, prev.truncation_order + 1)
         if cur.dimension == prev.dimension:
-            return prev
+            raise NotZeroDimensionalError(
+                f"stable dual dimension {prev.dimension} disagrees with the "
+                f"standard-monomial count {count}: the ideal is not primary "
+                "to the maximal ideal of the point"
+            )
         prev = cur
-    raise NotZeroDimensionalError(
-        f"dual-space dimension still growing at truncation {safety_bound}: "
-        "the ideal is not primary to the maximal ideal of the point"
-    )
+    return prev
 
 
 def _factorial_in_field(field, beta):
@@ -196,23 +195,7 @@ class NoethResult:
         }
 
 
-def _certified_dual(I, point, safety_bound):
-    """The stable dual, refused unless its dimension equals the number of
-    standard monomials: only then is I primary to the maximal ideal of
-    the point, so that the functionals describe all of I."""
-    basis = stable_dual(I, point, safety_bound)
-    standard = I.standard_monomials()
-    if standard is None or len(standard) != basis.dimension:
-        count = "infinite" if standard is None else len(standard)
-        raise NotZeroDimensionalError(
-            f"stable dual dimension {basis.dimension} disagrees with the "
-            f"standard-monomial count {count}: the ideal is not primary "
-            "to the maximal ideal of the point"
-        )
-    return basis
-
-
-def noetherian_operators(I, point, safety_bound=None):
+def noetherian_operators(I, point):
     """Differential operators describing an m_alpha-primary ideal:
     f lies in I exactly when every operator kills f at the point.
 
@@ -220,7 +203,7 @@ def noetherian_operators(I, point, safety_bound=None):
     enough that no needed beta! vanishes.  Raises NotZeroDimensionalError
     when I is not primary to the maximal ideal of the point.
     """
-    basis = _certified_dual(I, point, safety_bound)
+    basis = stable_dual(I, point)
     ops = [functional_to_operator(lam) for lam in basis.functionals]
     target = SolTarget.at_point(basis.point)
     # 1 is the smallest standard monomial of every ideal but (1)
@@ -237,7 +220,7 @@ def noetherian_operators(I, point, safety_bound=None):
     )
 
 
-def colength(I, point, safety_bound=None):
+def colength(I, point):
     """dim of R/I as a vector space, computed from the stable dual and
-    cross-checked against the Groebner staircase."""
-    return _certified_dual(I, point, safety_bound).dimension
+    certified by the Groebner staircase."""
+    return stable_dual(I, point).dimension

@@ -49,8 +49,9 @@ class UnsupportedCharacteristicError(NoethopsError):
 
 
 class NotZeroDimensionalError(NoethopsError):
-    """Dual-space dimension still growing at the safety bound: the ideal
-    is not primary to the maximal ideal of the given point."""
+    """The ideal is not primary to the maximal ideal of the given point:
+    its standard-monomial count is infinite, or its dual stops growing
+    short of that count."""
 
 
 class PointNotOnVarietyError(NoethopsError, ValueError):

@@ -20,6 +20,7 @@ Intersections and saturations go through an auxiliary variable and a
 block elimination order, the standard single-variable constructions.
 """
 
+import sys
 from functools import partial
 from heapq import heapify, heappop, heappush
 from itertools import combinations_with_replacement, product
@@ -382,6 +383,8 @@ def ideal_product(I, J):
 def ideal_power(I, n):
     if n < 0:
         raise ValueError("ideal power requires n >= 0")
+    if n > sys.maxsize:
+        raise ValueError(f"ideal power exponent exceeds {sys.maxsize}")
     if n == 0:
         return Ideal(I.ring, [I.ring.one()], I.order)
     gens = []

@@ -54,7 +54,7 @@ class PrimeData:
         if len(point) != ring.nvars:
             raise ArityMismatchError("point arity differs from ring arity")
         gens = [ring.var(i) - ring.const(a) for i, a in enumerate(point)]
-        maximal = Ideal(ring, gens)
+        maximal = Ideal(ring, gens, None if ideal is None else ideal.order)
         if ideal is not None and not ideal_equal(ideal, maximal):
             raise ValueError("rational-point prime must be the maximal ideal of its point")
         return cls(ideal=maximal, kind=RATIONAL_POINT, point=point)

@@ -161,6 +161,17 @@ def test_order_flag_changes_basis():
     assert lex["commands"][0]["basis"] == ["x^2 - y"]
 
 
+@pytest.mark.parametrize("order", ["lex", "grevlex"])
+def test_rational_point_prime_keeps_the_script_order(order):
+    text = (
+        "field QQ; ring [x, y, z]; prime m = x - 1, y - 2, z + 3 : point (1, 2, -3); "
+        "ideal Q = (x - 1)^2, (x - 1)*(y - 2), (x - 1)*(z + 3), (y - 2)^2, "
+        "(y - 2)*(z + 3), (z + 3)^2; sympow m 2; gb Q;"
+    )
+    sympow, gb = run(parse_script(text, order_kind=order))["commands"]
+    assert sympow["result"] == gb["basis"]
+
+
 def test_main_run(tmp_path, capsys):
     path = tmp_path / "script.ca"
     path.write_text(BASIC_SCRIPT)
@@ -225,6 +236,47 @@ def test_bound_name_in_an_expression_is_refused(tmp_path, capsys):
         path.write_text("field QQ; ring [x, y]; " + text)
         assert main(["run", str(path)]) == 2
         assert message in capsys.readouterr().err
+
+
+# Each row: a script, its exit code, and the fields of its last report entry
+# (or the stderr text of a script that does not parse).
+CONTRACT = [
+    ("duplicate-variable", "field QQ; ring [x, x];", 2,
+     {"stderr": "input error: variable names must be distinct and nonempty (at position 10)"}),
+    ("huge-sympow", "field QQ; ring [x, y]; prime m = x, y : point (0, 0); "
+     "sympow m 99999999999999999999;", 2, {"error": "ideal power exponent exceeds "}),
+    ("huge-diffpow", "field QQ; ring [x, y]; prime m = x, y : point (0, 0); "
+     "diffpow --new m 99999999999999999999;", 2, {"error": "ideal power exponent exceeds "}),
+    ("huge-check-zn", "field QQ; ring [x, y]; prime m = x, y : point (0, 0); "
+     "check-zn m 99999999999999999999;", 2, {"error": "ideal power exponent exceeds "}),
+    ("curvilinear", "field QQ; ring [x, y]; ideal I = y - x^2, y^4; noeth I at (0, 0);",
+     0, {"colength": 8, "truncation_order": 7}),
+    ("not-zero-dimensional", "field QQ; ring [x, y]; ideal I = x; noeth I at (0, 0);",
+     2, {"error": "the standard-monomial count is infinite: "}),
+    ("failed-assertion", "field QQ; ring [x, y]; ideal I = x^2, y; assert-member x, I;",
+     1, {"ok": False}),
+]
+
+
+@pytest.mark.parametrize("text, code, fields", [row[1:] for row in CONTRACT],
+                         ids=[row[0] for row in CONTRACT])
+def test_exit_code_contract(tmp_path, capsys, text, code, fields):
+    path = tmp_path / "contract.ca"
+    path.write_text(text)
+    assert main(["run", str(path), "--json"]) == code
+    captured = capsys.readouterr()
+    assert "Traceback" not in captured.err
+    if not captured.out:
+        assert code == 2 and fields["stderr"] in captured.err
+        return
+    report = json.loads(captured.out)
+    assert (code == 1) == (report["status"]["failed_assertions"] > 0)
+    entry = report["commands"][-1]
+    for key, value in fields.items():
+        if key == "error":
+            assert entry[key].startswith(value)
+        else:
+            assert entry[key] == value
 
 
 def test_main_examples(capsys):

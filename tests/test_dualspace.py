@@ -17,7 +17,7 @@ from noethops.errors import (
     UnsupportedCharacteristicError,
 )
 from noethops.fields import GF, QQ
-from noethops.groebner import ideal
+from noethops.groebner import Ideal, ideal
 from noethops.linalg import rref
 from noethops.poly import PolyRing, monomials_up_to
 from noethops.weyl import sol_membership
@@ -139,20 +139,65 @@ def test_stable_dual_stops_at_the_standard_count(monkeypatch):
         assert [lam.coords for lam in D] == [lam.coords for lam in expected]
         assert calls == list(range(D.truncation_order + 1))
 
-    # refusals keep their type and message, at the default bound and at 1
-    for bound in (None, 1):
+    # a stall short of the count keeps its message
+    with pytest.raises(NotZeroDimensionalError) as err:
+        noetherian_operators(ideal(R, "x*(x - 1)", "y"), ORIGIN)
+    assert str(err.value) == (
+        "stable dual dimension 1 disagrees with the standard-monomial count 2: "
+        "the ideal is not primary to the maximal ideal of the point"
+    )
+    # an infinite count is refused before any dual is built
+    for I in (ideal(R, "x"), Ideal(R, []), ideal(R, "x*(x - 1)", "y*(x - 1)")):
+        calls.clear()
         with pytest.raises(NotZeroDimensionalError) as err:
-            noetherian_operators(ideal(R, "x*(x - 1)", "y"), ORIGIN, bound)
+            stable_dual(I, ORIGIN)
         assert str(err.value) == (
-            "stable dual dimension 1 disagrees with the standard-monomial count 2: "
+            "the standard-monomial count is infinite: "
             "the ideal is not primary to the maximal ideal of the point"
         )
-        with pytest.raises(NotZeroDimensionalError) as err:
-            noetherian_operators(ideal(R, "x"), ORIGIN, bound)
-        assert str(err.value) == (
-            f"dual-space dimension still growing at truncation {bound or 2}: "
-            "the ideal is not primary to the maximal ideal of the point"
-        )
+        assert calls == []
+
+
+def _curvilinear_ideals():
+    """(v - u^2, v^N) for N = 4, 5 with u = x - alpha_1, v = y - alpha_2,
+    over QQ and GF(32003), at the origin and at a nonzero point: colength
+    2N, and the socle e[u^(2N-1)] + ... sits at order 2N - 1."""
+    out = []
+    for field in (QQ, GF(32003)):
+        S = PolyRing(field, ["x", "y"])
+        for point in ((0, 0), (2, -3)):
+            point = tuple(field.coerce(c) for c in point)
+            back = [-c for c in point]
+            for n in (4, 5):
+                gens = [S.parse("y - x^2"), S.parse(f"y^{n}")]
+                out.append((ideal(S, *(g.translate(back) for g in gens)), point, n))
+    return out
+
+
+def test_certified_operators_decide_membership():
+    rng = random.Random(1909)
+    cases = [(I, point, None) for I, point in _seeded_primary_ideals()]
+    for I, point, n in cases + _curvilinear_ideals():
+        res = noetherian_operators(I, point)
+        assert res.colength == colength(I, point) == len(I.standard_monomials())
+        if n is not None:
+            assert (res.colength, res.truncation_order) == (2 * n, 2 * n - 1)
+        S, k = I.ring, res.truncation_order
+        back = [-c for c in point]
+        for _ in range(4):
+            member = S.zero()
+            for g in I.generators:
+                member = member + random_poly(S, rng, max_degree=2, max_terms=3) * g
+            assert I.contains(member)
+            assert sol_membership(res.operators, res.target, member)
+            # local coordinates of degree <= k + 1, then a member on top
+            f = random_poly(S, rng, max_degree=k + 1, max_terms=4).translate(back)
+            expected = I.contains(f)
+            assert sol_membership(res.operators, res.target, f) == expected
+            assert sol_membership(res.operators, res.target, f + member) == expected
+        witness = res.witness_outside_ideal
+        assert not I.contains(witness)
+        assert not sol_membership(res.operators, res.target, witness)
 
 
 def test_noetherian_operators_examples():
