@@ -183,7 +183,8 @@ class Script:
         kind, obj = self.objects[name]
         if kind not in kinds:
             raise ParseError(
-                f"{name!r} is a {kind}, expected one of {sorted(kinds)}", pos
+                f"{name!r} is {'an' if kind[0] in 'aeiou' else 'a'} {kind}, "
+                f"expected one of {sorted(kinds)}", pos
             )
         return obj
 

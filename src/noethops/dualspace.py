@@ -93,19 +93,16 @@ def truncated_dual(I, point, k):
     point = tuple(ring.field.coerce(c) for c in point)
     columns = monomials_up_to(ring.nvars, k)
     index = {m: i for i, m in enumerate(columns)}
-    zero = ring.field.zero()
     rows = []
     for g in I.generators:
         shifted = g.translate(point)
         for gamma in columns:
-            row = [zero] * len(columns)
-            nonzero = False
+            row = {}
             for m, c in shifted.terms.items():
                 beta = monomial_mul(m, gamma)
                 if sum(beta) <= k:
                     row[index[beta]] = c
-                    nonzero = True
-            if nonzero:
+            if row:
                 rows.append(row)
     vectors = kernel_basis(rows, len(columns), ring.field)
     functionals = [

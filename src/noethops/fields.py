@@ -17,8 +17,9 @@ the usual arithmetic dunders, so code over a generic field just writes
 
 The four fields derive from :class:`Field`, which defines once what they
 share: identity (``==`` and ``hash`` compare a per-field ``_ident()``
-tuple), no named generators, and the Groebner kernel's domain of raw
-values for a field whose raw value is the element itself.  ``QQ`` and
+tuple), no named generators, and the domain of raw values that the
+Groebner kernel and ``linalg.kernel_basis`` compute on, for a field whose
+raw value is the element itself.  ``QQ`` and
 ``GF(p)`` override the domain with ints in [0, p) for ``GF(p)`` and reduced
 ``(num, den)`` pairs with den > 0 (None for 0) for ``QQ``.
 ``to_raw``/``from_raw`` convert; ``submul(acc, c, t)`` is acc - c*t (acc
@@ -333,8 +334,9 @@ class PrimeFieldElem(FieldValue):
 
     __radd__ = __add__
 
-    # Direct, not self + (-other): elimination in linalg.rref subtracts in
-    # its inner loop, and this makes one object instead of two.
+    # Direct, not self + (-other): UniPoly.__divmod__ subtracts in its
+    # inner loop (rem[k + i] - q * c) under tower arithmetic, and this
+    # makes one object instead of two.
     def __sub__(self, other):
         other = self._lift(other)
         if other is None:

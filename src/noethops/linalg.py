@@ -1,40 +1,14 @@
-"""Exact dense linear algebra over a coefficient field.
+"""Exact sparse elimination over a coefficient field.
 
-Matrices are lists of row lists of field elements.  Gaussian elimination
-uses the first nonzero entry in column order as the pivot so results are
-deterministic; columns are processed left to right, which callers exploit
-by ordering columns ascending in their monomial order.
+Rows are sparse ``{column: value}`` dicts of field elements (zeros may be
+left out).  Elimination runs on the field's domain of raw values, with
+the ``to_raw``/``submul``/``mul``/``inv``/``from_raw`` calls the Groebner
+kernel makes, so QQ and GF(p) compute on plain ints.  Each row pivots on
+its smallest column and pivot rows are kept fully reduced: the result is
+the reduced row echelon form, which is unique, so the kernel basis does
+not depend on the order of the rows.  Callers number columns ascending
+in their monomial order.
 """
-
-from .fields import invert
-
-
-def rref(rows, ncols):
-    """Reduced row echelon form.  Returns (rows, pivot_cols); zero rows
-    are dropped and pivots are scaled to 1."""
-    rows = [list(r) for r in rows]
-    pivots = []
-    r = 0
-    for col in range(ncols):
-        pivot_row = None
-        for i in range(r, len(rows)):
-            if rows[i][col]:
-                pivot_row = i
-                break
-        if pivot_row is None:
-            continue
-        rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
-        inv = invert(rows[r][col])
-        rows[r] = [c * inv for c in rows[r]]
-        for i in range(len(rows)):
-            if i != r and rows[i][col]:
-                factor = rows[i][col]
-                rows[i] = [a - factor * b for a, b in zip(rows[i], rows[r])]
-        pivots.append(col)
-        r += 1
-        if r == len(rows):
-            break
-    return rows[:r], pivots
 
 
 def kernel_basis(rows, ncols, field):
@@ -44,16 +18,38 @@ def kernel_basis(rows, ncols, field):
     One basis vector per free column, carrying 1 there and 0 at every
     other free column; ordered by free column index ascending.
     """
-    reduced, pivots = rref(rows, ncols)
-    pivot_set = set(pivots)
-    one = field.one()
-    basis = []
-    for fc in range(ncols):
-        if fc in pivot_set:
-            continue
-        # only rows pivoting left of fc can be nonzero there: keys ascend
-        v = {pc: -row[fc] for row, pc in zip(reduced, pivots) if row[fc]}
-        v[fc] = one
-        basis.append(v)
-    return basis
+    to_raw, submul, mul, inv = field.to_raw, field.submul, field.mul, field.inv
+    # pivot column -> the rest of its row, the pivot entry 1 left implicit;
+    # no rest has an entry at a pivot column
+    reduced = {}
+    for row in rows:
+        r = {c: to_raw(v) for c, v in row.items() if v}
+        for pc in [c for c in r if c in reduced]:
+            _subtract(r, r.pop(pc), reduced[pc], submul)
+        if r:
+            pc = min(r)
+            s = inv(r.pop(pc))
+            rest = {c: mul(x, s) for c, x in r.items()}
+            for other in reduced.values():
+                if pc in other:
+                    _subtract(other, other.pop(pc), rest, submul)
+            reduced[pc] = rest
+    one = to_raw(field.one())
+    basis = {fc: {} for fc in range(ncols) if fc not in reduced}
+    # only rows pivoting left of a free column reach it: keys ascend
+    for pc in sorted(reduced):
+        for c, x in reduced[pc].items():
+            basis[c][pc] = field.from_raw(submul(None, x, one))
+    for fc, v in basis.items():
+        v[fc] = field.one()
+    return list(basis.values())
 
+
+def _subtract(acc, f, rest, submul):
+    """acc - f * rest, in place on raw values."""
+    for c, x in rest.items():
+        s = submul(acc.get(c), f, x)
+        if s:
+            acc[c] = s
+        else:
+            del acc[c]

@@ -133,7 +133,6 @@ def diff_power_classical_graded(I, n, degree_bound):
         raise ValueError("graded extraction requires a homogeneous ideal")
     ring = I.ring
     field = ring.field
-    zero = field.zero()
     gens = []
     betas = monomials_up_to(ring.nvars, n - 1)
     for d in range(degree_bound + 1):
@@ -145,7 +144,7 @@ def diff_power_classical_graded(I, n, degree_bound):
             normal_forms = [I.normal_form(ring.monomial(m).diff_multi(beta)) for m in monos]
             support = sorted({s for nf in normal_forms for s in nf.terms})
             for s in support:
-                rows.append([nf.terms.get(s, zero) for nf in normal_forms])
+                rows.append({i: nf.terms[s] for i, nf in enumerate(normal_forms) if s in nf.terms})
         for v in kernel_basis(rows, len(monos), field):
             gens.append(Polynomial(ring, {monos[i]: c for i, c in v.items()}))
     return Ideal(ring, gens, I.order)

@@ -65,17 +65,6 @@ def random_nonzero_poly(ring, rng, **kw):
             return f
 
 
-def in_row_span(vec, reduced, pivots):
-    """Whether vec lies in the row span of an rref matrix with the given
-    pivot columns."""
-    v = list(vec)
-    for row, pc in zip(reduced, pivots):
-        if v[pc]:
-            factor = v[pc]
-            v = [a - factor * b for a, b in zip(v, row)]
-    return not any(v)
-
-
 @pytest.fixture
 def rng():
     return random.Random(20260810)

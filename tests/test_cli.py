@@ -396,25 +396,25 @@ MALFORMED = [
      "'O' is a point, expected one of ['ideal', 'prime'] (at position 114)"),
     ("noeth I on O;", ParseError, "expected 'at' in noeth command (at position 109)"),
     ("noeth I at nope;", UndeclaredNameError, "undeclared name 'nope' (at position 112)"),
-    ("noeth I at I;", ParseError, "'I' is a ideal, expected one of ['point'] (at position 112)"),
+    ("noeth I at I;", ParseError, "'I' is an ideal, expected one of ['point'] (at position 112)"),
     ("noeth I at (0);", ParseError, "point arity 1 != ring arity 2 (at position 101)"),
     ("noeth I at O as N;", ParseError, "expected ';', found 'as' (at position 114)"),
     ("noeth O at O;", ParseError, "'O' is a point, expected one of ['ideal', 'prime'] (at position 107)"),
-    ("sympow I 2;", ParseError, "'I' is a ideal, expected one of ['prime'] (at position 108)"),
+    ("sympow I 2;", ParseError, "'I' is an ideal, expected one of ['prime'] (at position 108)"),
     ("sympow m x;", ParseError, "expected 'int', found 'x' (at position 110)"),
     ("sympow m 2 as m;", ParseError, "name 'm' already declared (at position 115)"),
     ("gb I as G; sympow G 2;", ParseError,
-     "'G' is a ideal, expected one of ['prime'] (at position 119)"),
+     "'G' is an ideal, expected one of ['prime'] (at position 119)"),
     ("diffpow --old m 2;", ParseError, "diffpow expects --new or --classical (at position 111)"),
     ("diffpow --new m at O;", ParseError, "expected 'int', found ';' (at position 121)"),
     ("diffpow -new m 2;", ParseError, "expected '-', found 'new' (at position 110)"),
-    ("diffpow --new I 2;", ParseError, "'I' is a ideal, expected one of ['prime'] (at position 115)"),
+    ("diffpow --new I 2;", ParseError, "'I' is an ideal, expected one of ['prime'] (at position 115)"),
     ("diffpow --classical O 2 bound 3;", ParseError,
      "'O' is a point, expected one of ['ideal', 'prime'] (at position 121)"),
     ("diffpow --new m 2 bound x;", ParseError, "expected 'int', found 'x' (at position 125)"),
     ("diffpow --new nope at O 2;", UndeclaredNameError, "undeclared name 'nope' (at position 115)"),
     ("check-zn m 2 bound;", ParseError, "expected 'int', found ';' (at position 119)"),
-    ("check-zn I 2;", ParseError, "'I' is a ideal, expected one of ['prime'] (at position 110)"),
+    ("check-zn I 2;", ParseError, "'I' is an ideal, expected one of ['prime'] (at position 110)"),
     ("check-zn m 2 as Z;", ParseError, "expected ';', found 'as' (at position 114)"),
     ("assert-equal I, nope;", UndeclaredNameError, "undeclared name 'nope' (at position 117)"),
     ("assert-equal I;", ParseError, "expected ',', found ';' (at position 115)"),

@@ -18,12 +18,11 @@ from noethops.errors import (
 )
 from noethops.fields import GF, QQ
 from noethops.groebner import Ideal, ideal
-from noethops.linalg import rref
 from noethops.poly import PolyRing, monomials_up_to
 from noethops.weyl import sol_membership
 
-from _oracles import macaulay_kernel_dimension
-from conftest import in_row_span, random_poly
+from _oracles import Span, macaulay_kernel_dimension
+from conftest import random_poly
 
 R = PolyRing(QQ, ["x", "y"])
 ORIGIN = (QQ.zero(), QQ.zero())
@@ -273,20 +272,19 @@ def test_down_shift_closure():
         basis = stable_dual(I, ORIGIN)
         columns = monomials_up_to(2, basis.truncation_order)
         idx = {m: i for i, m in enumerate(columns)}
-        rows = []
+        span = Span(len(columns), QQ)
         for lam in basis:
             row = [QQ.zero()] * len(columns)
             for m, c in lam.coords:
                 row[idx[m]] = c
-            rows.append(row)
-        reduced, pivots = rref(rows, len(columns))
+            span.insert(row)
         for lam in basis:
             for i in range(2):
                 shifted = lam.shift(i)
                 vec = [QQ.zero()] * len(columns)
                 for m, c in shifted.coords:
                     vec[idx[m]] = c
-                assert in_row_span(vec, reduced, pivots)
+                assert span.contains(vec)
 
 
 def test_mpower_containment():
