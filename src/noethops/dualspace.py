@@ -16,7 +16,7 @@ the coefficient field.
 """
 
 from dataclasses import dataclass
-from math import factorial
+from math import factorial, prod
 
 from .errors import NotZeroDimensionalError, UnsupportedCharacteristicError
 from .fields import format_elem, format_terms, invert, monomial_text
@@ -143,13 +143,6 @@ def stable_dual(I, point):
     return prev
 
 
-def _factorial_in_field(field, beta):
-    n = 1
-    for e in beta:
-        n *= factorial(e)
-    return field.from_int(n)
-
-
 def functional_to_operator(lam):
     """Divided-power functional to the Weyl operator with the same
     apply-then-evaluate action: e_beta becomes d^beta / beta!."""
@@ -157,7 +150,7 @@ def functional_to_operator(lam):
     field = ring.field
     coords = {}
     for beta, c in lam.coords:
-        fb = _factorial_in_field(field, beta)
+        fb = field.from_int(prod(map(factorial, beta)))
         if not fb:
             raise UnsupportedCharacteristicError(
                 f"beta! vanishes in characteristic {field.characteristic} "

@@ -18,6 +18,8 @@ field (``t``, ``u``), otherwise it is an unknown-variable error.
 """
 
 import re
+from math import perm, prod
+from operator import sub
 
 from .errors import (
     ArityMismatchError,
@@ -42,7 +44,7 @@ def monomial_divides(a, b):
 
 def monomial_div(a, b):
     """Exponent vector of x^a / x^b; caller guarantees divisibility."""
-    return tuple(x - y for x, y in zip(a, b))
+    return tuple(map(sub, a, b))
 
 def monomial_lcm(a, b):
     return tuple(max(x, y) for x, y in zip(a, b))
@@ -140,7 +142,7 @@ class PolyRing:
         return parse(text, self)
 
     def __eq__(self, other):
-        return (
+        return self is other or (
             isinstance(other, PolyRing)
             and other.field == self.field
             and other.variables == self.variables
@@ -219,28 +221,31 @@ class Polynomial(RingValue):
         """Formal partial derivative in the i-th variable."""
         if not 0 <= i < self.ring.nvars:
             raise IndexError(f"variable index {i} out of range")
-        field = self.ring.field
-        out = {}
-        for m, c in self.terms.items():
-            e = m[i]
-            if e == 0:
-                continue
-            nc = c * field.from_int(e)
-            if not nc:
-                continue  # exponent divisible by the characteristic
-            nm = m[:i] + (e - 1,) + m[i + 1 :]
-            out[nm] = nc
-        return Polynomial(self.ring, out)
+        return self.diff_multi((0,) * i + (1,) + (0,) * (self.ring.nvars - i - 1))
 
     def diff_multi(self, beta):
-        """Iterated partial derivative with multi-index beta."""
-        f = self
-        for i, e in enumerate(beta):
-            for _ in range(e):
-                if f.is_zero():
-                    return f
-                f = f.diff(i)
-        return f
+        """d^beta in one pass: c*x^m goes to c * prod(m_i!/(m_i - beta_i)!) *
+        x^(m - beta), the integer product mapped into the field once, and
+        drops when some m_i < beta_i or the product vanishes in the field.
+        Exact in every characteristic, as iterated partials multiply by the
+        same integers.  Raises ArityMismatchError for a beta of the wrong
+        length and ValueError for a negative entry."""
+        beta = tuple(beta)
+        if len(beta) != self.ring.nvars:
+            raise ArityMismatchError(f"expected {self.ring.nvars} exponents, got {len(beta)}")
+        if min(beta, default=0) < 0:
+            raise ValueError(f"negative derivative order in {beta}")
+        if not any(beta):
+            return self
+        from_int = self.ring.field.from_int
+        out = {}
+        for m, c in self.terms.items():
+            n = prod(map(perm, m, beta))  # perm(e, b) is 0 when b > e
+            if n == 1:  # no field product: most terms under a first-order beta
+                out[monomial_div(m, beta)] = c
+            elif n and (k := from_int(n)):
+                out[monomial_div(m, beta)] = c * k
+        return Polynomial(self.ring, out)
 
     def evaluate(self, coords):
         """Value at a point; coordinates may lie in a field extension."""

@@ -13,7 +13,7 @@ quotient by an ideal (via normal forms), or a point (evaluate there).
 """
 
 from itertools import product as _cartesian
-from math import comb
+from math import comb, prod
 
 from .errors import IncompatibleFieldError
 from .fields import format_elem, format_terms, monomial_text
@@ -54,6 +54,8 @@ class DiffOp:
 
     @classmethod
     def partial(cls, ring, i, power=1):
+        if power < 0:
+            raise ValueError(f"negative derivative order {power}")
         z = (0,) * ring.nvars
         beta = list(z)
         beta[i] = power
@@ -140,10 +142,7 @@ class DiffOp:
             for gamma in _cartesian(*ranges):
                 if not any(gamma):
                     continue  # the gamma = 0 term cancels against r*delta
-                binom = 1
-                for bi, gi in zip(beta, gamma):
-                    binom *= comb(bi, gi)
-                bc = field.from_int(binom)
+                bc = field.from_int(prod(map(comb, beta, gamma)))
                 if not bc:
                     continue
                 dr = r.diff_multi(gamma)

@@ -1,7 +1,9 @@
-"""Byte pins on the demos and the built-in regression set: the sha256 of
-their stdout must not move unless an answer or a printed form changes."""
+"""Byte pins on the demos, the built-in regression set and two long
+Zariski-Nagata chains: the sha256 of their output must not move unless an
+answer or a printed form changes."""
 
 import hashlib
+import json
 import os
 import subprocess
 import sys
@@ -10,6 +12,7 @@ from pathlib import Path
 import pytest
 
 import noethops
+from noethops import cli
 from noethops.cli import main
 
 DEMOS = Path(__file__).resolve().parents[1] / "demos"
@@ -48,3 +51,22 @@ def test_examples_json_pinned(capsys):
     assert main(["examples", "--json"]) == 0
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode()).hexdigest() == EXAMPLES_JSON_SHA256
+
+
+CHAIN_PINS = {
+    "origin-m30": (
+        "field QQ; ring [x, y]; prime m = x, y : point (0, 0); check-zn m 30;",
+        "7758f9949beb29cf1c4f77a9d9facc3a1bfc2450cea43ebc99053649918b3c8d",
+    ),
+    "point-m16-b8": (
+        "field QQ; ring [x, y]; prime m = x - 1, y + 2 : point (1, -2); check-zn m 16 bound 8;",
+        "d1d2ba9cf0715faa4747ab0edf7f1e98fe5b3c48aa46949c2c696d5448a02c6f",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CHAIN_PINS))
+def test_long_chain_report_pinned(name):
+    text, sha256 = CHAIN_PINS[name]
+    report = json.dumps(cli.run(cli.parse_script(text)), indent=2)
+    assert hashlib.sha256(report.encode()).hexdigest() == sha256

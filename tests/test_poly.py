@@ -1,5 +1,7 @@
 import random
 from fractions import Fraction
+from itertools import product
+from math import comb, prod
 
 import pytest
 
@@ -62,6 +64,90 @@ def test_partial_derivatives():
     assert (S.var(0) ** 2).diff(0).is_zero()
     with pytest.raises(IndexError):
         x.diff(5)
+
+
+BAD_BETAS = [
+    pytest.param(beta, error, id=str(beta))
+    for beta, error in [
+        ((1,), ArityMismatchError),
+        ((0, 0, 1), ArityMismatchError),
+        ((), ArityMismatchError),
+        ((1, -1), ValueError),
+        ((-2, 0), ValueError),
+    ]
+]
+
+
+@pytest.mark.parametrize("beta, error", BAD_BETAS)
+@pytest.mark.parametrize("f", [x**3 * y**2 + x, R.zero()], ids=["f", "zero"])
+def test_diff_multi_refuses_a_bad_multi_index(f, beta, error):
+    with pytest.raises(error):
+        f.diff_multi(beta)
+
+
+def diff_multi_by_steps(f, beta):
+    """d^beta term by term: multiply by e, e - 1, ... through from_int and
+    drop the term as soon as its coefficient is zero."""
+    from_int = f.ring.field.from_int
+    out = {}
+    for m, c in f.terms.items():
+        m = list(m)
+        for i, b in enumerate(beta):
+            for _ in range(b):
+                if not c:
+                    break
+                c = c * from_int(m[i])
+                m[i] -= 1
+        if c:
+            out[tuple(m)] = c
+    return f.ring.poly(out)
+
+
+def _f3t():
+    return RatFuncField(GF(3), "t")
+
+
+def _f3t_u():
+    F = _f3t()
+    t = F.generator()
+    return AlgExtField(F, "u", UniPoly(F, [-t, F.zero(), F.zero(), F.one()]))
+
+
+CALCULUS_FIELDS = [
+    pytest.param(lambda: QQ, 40, id="QQ"),
+    pytest.param(lambda: GF(2), 40, id="GF(2)"),
+    pytest.param(lambda: GF(3), 40, id="GF(3)"),
+    pytest.param(lambda: GF(32003), 40, id="GF(32003)"),
+    pytest.param(_f3t, 15, id="F_3(t)"),
+    pytest.param(_f3t_u, 8, id="F_3(t)[u]/(u^3 - t)"),
+]
+
+
+@pytest.mark.parametrize("make_field, cases", CALCULUS_FIELDS)
+def test_diff_multi_against_stepwise_oracle(make_field, cases):
+    rng = random.Random(1212)
+    ring = PolyRing(make_field(), ["x", "y"])
+    u, v = ring.gens()
+    # falling factorials divisible by small characteristics: 4*3 = 12, 3*2 = 6
+    fixed = [(u**4 + v**3 + u * v, (2, 0)), (u**4 * v**3, (1, 2)), (u**5 * v, (3, 1))]
+    for f, beta in fixed:
+        assert f.diff_multi(beta) == diff_multi_by_steps(f, beta)
+    if ring.field.characteristic == 3:
+        assert (u**4).diff_multi((2, 0)).is_zero()
+    for _ in range(cases):
+        f = random_poly(ring, rng, max_degree=7, max_terms=5)
+        g = random_poly(ring, rng, max_degree=4, max_terms=3)
+        beta = (rng.randint(0, 5), rng.randint(0, 5))  # often above some exponent
+        assert f.diff_multi(beta) == diff_multi_by_steps(f, beta)
+        for i, e_i in enumerate([(1, 0), (0, 1)]):
+            assert f.diff(i) == f.diff_multi(e_i)
+        beta = (rng.randint(0, 3), rng.randint(0, 3))
+        leibniz = ring.zero()
+        for gamma in product(*(range(b + 1) for b in beta)):
+            rest = tuple(b - c for b, c in zip(beta, gamma))
+            coeff = ring.field.from_int(prod(map(comb, beta, gamma)))
+            leibniz = leibniz + f.diff_multi(gamma) * g.diff_multi(rest) * ring.const(coeff)
+        assert (f * g).diff_multi(beta) == leibniz
 
 
 def test_evaluate():

@@ -42,6 +42,12 @@ def test_apply_examples():
     assert one.apply(f) == f
 
 
+@pytest.mark.parametrize("power", [-1, -3])
+def test_partial_refuses_a_negative_power(power):
+    with pytest.raises(ValueError):
+        DiffOp.partial(R, 0, power)
+
+
 def test_bracket_heisenberg():
     assert dx.bracket(x) == DiffOp.identity(R)
 
