@@ -13,8 +13,10 @@ checks); a cancelled term is skipped when popped.  Pending pairs sit in a
 heap too.
 
 The kernel computes on raw coefficients through its field's domain
-operations (see ``fields``).  Only ``Ideal`` converts, lifting generators
-and ``f``, wrapping bases and remainders; its cached records keep raw tails.
+operations (see ``fields``).  Only ``Ideal`` converts: it lifts generators
+and ``f`` and wraps bases and ``normal_form`` remainders, while ``contains``
+stops at the first raw remainder term and never wraps.  Cached records
+keep raw tails.
 
 Intersections and saturations go through an auxiliary variable and a
 block elimination order, the standard single-variable constructions.
@@ -23,7 +25,7 @@ block elimination order, the standard single-variable constructions.
 import sys
 from functools import partial
 from heapq import heapify, heappop, heappush
-from itertools import combinations_with_replacement, product
+from itertools import product
 from operator import add, le, neg, sub
 
 from .errors import ArityMismatchError, IncompatibleFieldError
@@ -118,14 +120,13 @@ def _convert(terms, fn):
 
 
 def _reduce_terms(terms, basis, hkey, submul):
-    """Full normal form of a raw term dict against (leading monomial, tail)
-    records sorted ascending by leading monomial; the first divisor found
-    is therefore the one with the smallest leading monomial.  The work
-    set's terms sit in a heap on hkey, so the biggest comes out first."""
+    """Yield the remainder terms of a raw term dict against (leading monomial,
+    tail) records sorted ascending by leading monomial, so the first divisor
+    found has the smallest one.  Terms pop biggest first from a heap on hkey
+    and a step adds only smaller terms, so each yielded term is final."""
     work = dict(terms)
     heap = [(hkey(m), m) for m in work]
     heapify(heap)
-    out = {}
     while heap:
         m = heappop(heap)[1]
         c = work.pop(m, None)
@@ -135,7 +136,7 @@ def _reduce_terms(terms, basis, hkey, submul):
             if all(map(le, lt, m)):
                 break
         else:
-            out[m] = c
+            yield m, c
             continue
         shift = tuple(map(sub, m, lt))
         for tm, tc in tail:
@@ -148,7 +149,6 @@ def _reduce_terms(terms, basis, hkey, submul):
                 work[k2] = s
             elif old is not None:
                 del work[k2]
-    return out
 
 
 class _GB:
@@ -172,7 +172,7 @@ class _GB:
     def reduce(self, terms):
         if self.records is None:
             self.records = [(self.lts[i], self.tails[i]) for i in self._sorted_active()]
-        return _reduce_terms(terms, self.records, self.hkey, self.dom.submul)
+        return dict(_reduce_terms(terms, self.records, self.hkey, self.dom.submul))
 
     def add(self, terms):
         """Gebauer-Moller UPDATE with the new monic element."""
@@ -246,7 +246,7 @@ class _GB:
         ascending = self._sorted_active()
         for g in self.active:
             others = [(self.lts[i], self.tails[i]) for i in ascending if i != g]
-            self.elems[g] = _reduce_terms(self.elems[g], others, self.hkey, self.dom.submul)
+            self.elems[g] = dict(_reduce_terms(self.elems[g], others, self.hkey, self.dom.submul))
             self.tails[g] = _tail(self.elems[g], self.lts[g])
         return [(self.lts[g], self.elems[g], self.tails[g]) for g in ascending]
 
@@ -284,19 +284,23 @@ class Ideal:
         """The basis as ascending (leading monomial, tail) records."""
         return self._records if self.groebner_basis else []
 
+    def _remainder(self, f):
+        """The raw remainder terms of f, lazily, biggest first."""
+        if f.ring != self.ring:
+            raise IncompatibleFieldError("polynomial from a different ring")
+        dom = self.ring.field
+        terms = _convert(f.terms, dom.to_raw)
+        return _reduce_terms(terms, self._gb_records(), self.order.key, dom.submul)
+
     def normal_form(self, f):
         """Remainder of multivariate division by the reduced basis;
         zero exactly for ideal members."""
-        if f.ring != self.ring:
-            raise IncompatibleFieldError("polynomial from a different ring")
-        if not self.generators:
-            return f
-        recs, dom = self._gb_records(), self.ring.field
-        rem = _reduce_terms(_convert(f.terms, dom.to_raw), recs, self.order.key, dom.submul)
-        return Polynomial(self.ring, _convert(rem, dom.from_raw))
+        from_raw = self.ring.field.from_raw
+        return Polynomial(self.ring, {m: from_raw(c) for m, c in self._remainder(f)})
 
     def contains(self, f):
-        return self.normal_form(f).is_zero()
+        """Membership, stopping at the first remainder term; nothing wraps."""
+        return next(self._remainder(f), None) is None
 
     def is_unit_ideal(self):
         gb = self.groebner_basis
@@ -385,15 +389,14 @@ def ideal_power(I, n):
         raise ValueError("ideal power requires n >= 0")
     if n > sys.maxsize:
         raise ValueError(f"ideal power exponent exceeds {sys.maxsize}")
-    if n == 0:
-        return Ideal(I.ring, [I.ring.one()], I.order)
-    gens = []
-    for combo in combinations_with_replacement(I.generators, n):
-        g = I.ring.one()
-        for f in combo:
-            g = g * f
-        gens.append(g)
-    return Ideal(I.ring, _dedupe(gens), I.order)
+    gens = I.generators
+    # (least index of the next factor, product), combinations_with_replacement order
+    level = [(0, I.ring.one())]
+    for _ in range(n):
+        level = [(j, g * gens[j]) for i, g in level for j in range(i, len(gens))]
+        if not level:  # no generators: every positive power is zero
+            break
+    return Ideal(I.ring, _dedupe([g for _, g in level]), I.order)
 
 
 def _extended_ring(ring, aux_name="_w"):

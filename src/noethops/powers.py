@@ -93,7 +93,11 @@ def symbolic_power(p, n):
     """
     if n < 1:
         raise ValueError("symbolic power requires n >= 1")
-    pn = ideal_power(p.ideal, n)
+    return _symbolic_from_power(p, ideal_power(p.ideal, n))
+
+
+def _symbolic_from_power(p, pn):
+    """The symbolic power from pn = p^n, which is pn when already primary."""
     if p.kind in (RATIONAL_POINT, UNIVARIATE):
         return pn
     if p.witness is None:
@@ -101,10 +105,8 @@ def symbolic_power(p, n):
     return saturate(pn, p.witness)
 
 
-def diff_power_classical_member(I, n, f):
-    """Membership in {f : delta(f) in I for all operators of order < n
-    from the ring to itself}; over characteristic zero those operators
-    are generated by iterated partials."""
+def _classical_member(I, n):
+    """diff_power_classical_member for fixed I and n, betas listed once."""
     if n < 1:
         raise ValueError("differential power requires n >= 1")
     if I.ring.field.characteristic != 0:
@@ -113,10 +115,15 @@ def diff_power_classical_member(I, n, f):
             "operators in positive characteristic; refusing to compute "
             "with derivations only"
         )
-    for beta in monomials_up_to(I.ring.nvars, n - 1):
-        if not I.contains(f.diff_multi(beta)):
-            return False
-    return True
+    betas = monomials_up_to(I.ring.nvars, n - 1)
+    return lambda f: all(I.contains(f.diff_multi(beta)) for beta in betas)
+
+
+def diff_power_classical_member(I, n, f):
+    """Membership in {f : delta(f) in I for all operators of order < n
+    from the ring to itself}; over characteristic zero those operators
+    are generated by iterated partials."""
+    return _classical_member(I, n)(f)
 
 
 def diff_power_classical_graded(I, n, degree_bound):
@@ -286,8 +293,9 @@ class ChainReport:
 def _inclusion_verdict(report, lhs_name, small, rhs_name, big):
     """Record small subset-of big (by generator membership), upgraded to
     equality or refined to strictness with an explicit witness."""
-    subset = all(big.contains(g) for g in small.generators)
-    if subset and ideal_equal(small, big):
+    same = small is big  # one ideal in both slots: nothing to reduce
+    subset = same or all(big.contains(g) for g in small.generators)
+    if same or subset and ideal_equal(small, big):
         report.verdicts.append(Verdict(lhs_name, VERDICT_EQUAL, rhs_name, True))
         return
     witness = None
@@ -315,19 +323,20 @@ def chain_check(p, n, agreement_bound=None):
     ring = p.ring
     char = ring.field.characteristic
 
-    report.symbolic = symbolic_power(p, n)
     pn = ideal_power(p.ideal, n)
+    report.symbolic = _symbolic_from_power(p, pn)
     report.verdicts.append(
         Verdict(
             "p^n",
             VERDICT_SUBSET,
             "symbolic",
-            all(report.symbolic.contains(g) for g in pn.generators),
+            report.symbolic is pn or all(report.symbolic.contains(g) for g in pn.generators),
         )
     )
 
     try:
-        report.new_diff = diff_power_new(p, n)
+        # at a point J = 0, so J + m^n is p^n on the same generators
+        report.new_diff = pn if p.kind == RATIONAL_POINT else diff_power_new(p, n)
     except UnsupportedCharacteristicError:
         pass  # a witness prime has no solution-set power to compare
     if report.new_diff is not None:
@@ -346,14 +355,15 @@ def chain_check(p, n, agreement_bound=None):
         report.classical_note = "membership predicate via iterated partials"
         inner = report.new_diff if report.new_diff is not None else report.symbolic
         inner_name = "new_diff" if report.new_diff is not None else "symbolic"
-        ok = all(diff_power_classical_member(p.ideal, n, g) for g in inner.generators)
+        member = _classical_member(p.ideal, n)
+        ok = all(member(g) for g in inner.generators)
         report.verdicts.append(Verdict(inner_name, VERDICT_SUBSET, "classical", ok))
         if agreement_bound is not None:
             witness = None
             agree = True
             for m in monomials_up_to(ring.nvars, agreement_bound):
                 f = ring.monomial(m)
-                if inner.contains(f) != diff_power_classical_member(p.ideal, n, f):
+                if inner.contains(f) != member(f):
                     agree = False
                     witness = f
                     break

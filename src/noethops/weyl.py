@@ -56,10 +56,10 @@ class DiffOp:
     def partial(cls, ring, i, power=1):
         if power < 0:
             raise ValueError(f"negative derivative order {power}")
+        if not 0 <= i < ring.nvars:
+            raise IndexError(f"variable index {i} out of range")
         z = (0,) * ring.nvars
-        beta = list(z)
-        beta[i] = power
-        return cls(ring, {(z, tuple(beta)): ring.field.one()})
+        return cls(ring, {(z, z[:i] + (power,) + z[i + 1:]): ring.field.one()})
 
     @classmethod
     def from_functional(cls, ring, coords):
@@ -220,7 +220,7 @@ class SolTarget:
         if self.mode == self.INTO_RING:
             return g.is_zero()
         if self.mode == self.MODULO:
-            return self.ideal.normal_form(g).is_zero()
+            return self.ideal.contains(g)
         value = g.evaluate(self.point)
         return not value
 

@@ -4,7 +4,7 @@ from functools import cmp_to_key
 
 import pytest
 
-from noethops.errors import ArityMismatchError
+from noethops.errors import ArityMismatchError, IncompatibleFieldError
 from noethops.fields import GF, QQ, AlgExtField, RatFuncField, UniPoly
 from noethops.groebner import (
     Ideal,
@@ -20,7 +20,7 @@ from noethops.groebner import (
 from noethops.poly import PolyRing, monomial_div, monomial_lcm, monomials_up_to
 
 from _oracles import TruncatedMembershipOracle
-from conftest import random_poly
+from conftest import random_nonzero, random_nonzero_poly, random_poly
 
 R2 = PolyRing(QQ, ["x", "y"])
 R4 = PolyRing(QQ, ["x", "y", "z", "w"])
@@ -403,6 +403,40 @@ def test_element_domain_bases_pinned(field, gens, basis, f, remainder):
     I = ideal(ring, *gens)
     assert [str(g) for g in I.groebner_basis] == basis
     assert str(I.normal_form(ring.parse(f))) == remainder
+
+
+@pytest.mark.parametrize("field", [
+    QQ, GF(32003), RatFuncField(GF(3), "t"), _f3t_tower(),
+], ids=["QQ", "GF(32003)", "F3(t)", "F3(t)[u]/(u^3 - t)"])
+def test_contains_agrees_with_normal_form(field):
+    # contains stops at the first remainder term it meets; f + c with f a
+    # member leaves the constant c alone, the smallest monomial, so that
+    # non-member is only found after every other term has been reduced.
+    rng = random.Random(f"contains/{field}")
+    ring = PolyRing(field, ["x", "y"])
+    x, y = ring.gens()
+    for _ in range(3):
+        # every generator vanishes at the origin, so the ideal is proper
+        gens = [rng.choice((x, y)) * random_nonzero_poly(ring, rng, max_degree=2, max_terms=2)
+                for _ in range(2)]
+        I = Ideal(ring, gens)
+        for _ in range(4):
+            member = sum((random_poly(ring, rng, max_degree=2, max_terms=3) * g for g in gens),
+                         ring.zero())
+            c = random_nonzero(field, rng)
+            f = random_poly(ring, rng, max_degree=3)
+            assert I.contains(member) and I.normal_form(member).is_zero()
+            assert not I.contains(member + c) and I.normal_form(member + c) == ring.const(c)
+            assert I.contains(f) == I.normal_form(f).is_zero()
+    empty = Ideal(ring, [])
+    assert empty.contains(ring.zero()) and empty.normal_form(ring.zero()).is_zero()
+    assert not empty.contains(x + 1) and empty.normal_form(x + 1) == x + 1
+    alien = PolyRing(field, ["x", "z"]).var(1)
+    for J in (I, empty):
+        with pytest.raises(IncompatibleFieldError):
+            J.contains(alien)
+        with pytest.raises(IncompatibleFieldError):
+            J.normal_form(alien)
 
 
 def test_ideal_with_basis_survives_pickle():

@@ -1,11 +1,13 @@
 import random
 from fractions import Fraction
+from itertools import combinations_with_replacement
 from math import isqrt
 
 import pytest
 
 from noethops.errors import PointNotOnVarietyError, UnsupportedCharacteristicError
 from noethops.fields import GF, QQ, AlgExtField, RatFuncField, UniPoly
+from noethops import groebner
 from noethops.groebner import Ideal, ideal, ideal_equal, ideal_power, saturate
 from noethops.poly import PolyRing, monomials_up_to, to_unipoly
 from noethops.powers import (
@@ -212,6 +214,40 @@ def test_chain_check_rational_point_all_equal():
         assert ideal_equal(report.new_diff, mn)
         agree = [x for x in report.verdicts if x.relation == "agrees-on-monomials"]
         assert agree and agree[0].holds
+
+
+def test_chain_check_builds_one_power(monkeypatch):
+    # symbolic and solution-set powers of a point's maximal ideal are both
+    # p^n itself: one Buchberger run on p^n's 4 generators, one on p's 2
+    runs = []
+    run = groebner._GB.run
+
+    def counted(self, gen_terms):
+        runs.append(len(gen_terms))
+        return run(self, gen_terms)
+
+    monkeypatch.setattr(groebner._GB, "run", counted)
+    p = PrimeData.rational_point(R2, (1, -2))
+    report = chain_check(p, 3, agreement_bound=4)
+    assert report.all_hold() and report.symbolic is report.new_diff
+    assert sorted(runs) == [2, 4]
+
+
+@pytest.mark.parametrize("gens", [
+    ("x + y", "x*y - 1", "y^2 + 3"),
+    ("x^2", "x*y", "y^2"),  # x^2 * y^2 = (x*y)^2: products collide
+])
+def test_ideal_power_matches_combination_products(gens):
+    I = ideal(R2, *gens)
+    for n in range(5):
+        expected = []
+        for combo in combinations_with_replacement(I.generators, n):
+            g = R2.one()
+            for f in combo:
+                g = g * f
+            if g not in expected:
+                expected.append(g)
+        assert list(ideal_power(I, n).generators) == expected
 
 
 def test_chain_check_inseparable_example():
