@@ -91,7 +91,10 @@ def parse_field_descriptor(ts):
         ts.expect(SYM, ",")
         gen = ts.expect(NAME)[1]
         ts.expect(SYM, ",")
-        scratch = PolyRing(base, [gen])
+        try:
+            scratch = PolyRing(base, [gen])
+        except ValueError as exc:
+            raise ParseError(str(exc), tok[2]) from None
         minpoly = _PolyParser(ts, scratch).parse_expr()
         ts.expect(SYM, ")")
         try:
@@ -108,7 +111,10 @@ def parse_field_descriptor(ts):
             ts.i = save
             break
         ts.next()
-        field = RatFuncField(field, var[1])
+        try:
+            field = RatFuncField(field, var[1])
+        except ValueError as exc:
+            raise ParseError(str(exc), var[2]) from None
     return field
 
 

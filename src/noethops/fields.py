@@ -105,6 +105,22 @@ class Field:
     def named_generators(self):
         return {}
 
+    def refuse_shadowing(self, names):
+        """Raise ValueError for a name that is one of this field's generators."""
+        gens = self.named_generators()
+        for name in names:
+            if name in gens:
+                raise ValueError(f"name {name!r} shadows a generator of {self!r}")
+
+    def fresh_name(self, stem, taken=()):
+        """stem, stem0, stem1, ...: the first that is neither a generator of
+        this field nor in taken."""
+        taken = {*taken, *self.named_generators()}
+        name, k = stem, 0
+        while name in taken:
+            name, k = f"{stem}{k}", k + 1
+        return name
+
     def to_raw(self, a):
         return a
 
@@ -554,6 +570,7 @@ class RatFuncField(Field):
     """Rational function field base(var), e.g. F_p(t) or Q(t)."""
 
     def __init__(self, base, var="t"):
+        base.refuse_shadowing([var])
         self.base = base
         self.var = var
         self.characteristic = base.characteristic
@@ -683,6 +700,7 @@ class AlgExtField(Field):
             raise ValueError("minimal polynomial must have degree >= 1")
         if minpoly.lead != base.one():
             raise ValueError("minimal polynomial must be monic")
+        base.refuse_shadowing([var])
         self.base = base
         self.var = var
         self.minpoly = minpoly

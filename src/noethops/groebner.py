@@ -7,16 +7,31 @@ lcm-divisibility criteria plus Buchberger's coprimality criterion, with
 the normal selection strategy (smallest lcm degree, ties broken by the
 monomial order, then by pair index) so runs are deterministic.
 
-Reduction pops the next term from a heap on ``MonomialOrder.key``, a flat
-int tuple computed once per term and never arity-checked (only ``compare``
-checks); a cancelled term is skipped when popped.  Pending pairs sit in a
-heap too.
+Inside the kernel a monomial is one int.  Its low n*W bits are n exponent
+fields of W bits, variable i at bit i*W, and the top bit of each field is
+a guard, clear in every monomial the kernel keeps.  The bits above hold
+the order's key, a linear form with one integer weight per variable
+(``MonomialOrder.weights``), so a smaller int is a bigger monomial.
+Multiplying two monomials is one addition, and so is shifting a term's
+key; x^a divides x^b exactly when ``(b - a) & guard`` is zero, and an lcm
+takes a few guard-bit operations.  Reduction pops the next term from a
+heap of these ints, and a cancelled term is skipped when popped.  Pending
+pairs sit in a heap too.
+
+The width W is the smallest of 16, 32, 64, ... bits whose fields hold
+twice the input's largest exponent below the guard bit.  A sum of two kept
+monomials is exact in W-bit fields, so a product that outgrows a field
+sets that field's guard bit and disturbs nothing else, and the key still
+puts it in its place among the others.  The kernel checks the guard bits
+of every term before it reduces or keeps it, and when one is set it redoes
+the whole computation at twice the width.  So no result depends on the
+width, and no input is refused for its exponents.
 
 The kernel computes on raw coefficients through its field's domain
-operations (see ``fields``).  Only ``Ideal`` converts: it lifts generators
-and ``f`` and wraps bases and ``normal_form`` remainders, while ``contains``
-stops at the first raw remainder term and never wraps.  Cached records
-keep raw tails.
+operations (see ``fields``).  Only ``Ideal`` converts: it packs generators
+and ``f``, and unpacks bases, ``leading_monomials`` and ``normal_form``
+remainders, while ``contains`` stops at the first packed remainder term
+and unpacks nothing.  Cached records keep packed monomials and raw tails.
 
 Intersections and saturations go through an auxiliary variable and a
 block elimination order, the standard single-variable constructions.
@@ -25,19 +40,11 @@ block elimination order, the standard single-variable constructions.
 import sys
 from functools import partial
 from heapq import heapify, heappop, heappush
-from itertools import product
-from operator import add, le, neg, sub
+from itertools import chain, islice, product
+from operator import mul, neg
 
 from .errors import ArityMismatchError, IncompatibleFieldError
-from .poly import (
-    Polynomial,
-    PolyRing,
-    grevlex_key,
-    monomial_div,
-    monomial_divides,
-    monomial_lcm,
-    monomial_mul,
-)
+from .poly import Polynomial, PolyRing, grevlex_key, monomial_divides
 
 LEX, GREVLEX, ELIM = "lex", "grevlex", "elimination"
 
@@ -90,6 +97,19 @@ class MonomialOrder:
     def leading_monomial(self, f):
         return min(f.terms, key=self.key)
 
+    def weights(self, width):
+        """One int weight per variable for the kernel's packed monomials.
+        For exponents below 2^width, sorting by sum(w_i * e_i), then by the
+        exponents read from the last variable to the first, puts bigger
+        monomials first."""
+        n, s = self.ring.nvars, 1 << width
+        if self.kind == LEX:
+            return tuple(-(s ** (n - 1 - i)) for i in range(n))
+        # a grevlex block sorts by minus its degree, then by its exponents
+        # read backwards; grevlex is the case with an empty first block
+        k = self.block
+        return tuple((s**i - s**k) * s * s for i in range(k)) + (-1,) * (n - k)
+
     def __eq__(self, other):
         return (
             isinstance(other, MonomialOrder)
@@ -107,96 +127,151 @@ class MonomialOrder:
         return self.kind
 
 
-def _mono_shift(pairs, shift):
-    return {monomial_mul(m, shift): c for m, c in pairs}
+class _Overflow(Exception):
+    """A packed monomial outgrew its exponent field."""
 
 
-def _tail(terms, lt):
-    return tuple((m, c) for m, c in terms.items() if m != lt)
+def _width(monomials):
+    """Bits per exponent field: the smallest of 16, 32, 64, ... whose fields
+    hold twice the largest exponent below the guard bit."""
+    top, width = max(chain.from_iterable(monomials), default=0), 16
+    while top >> (width - 2):
+        width *= 2
+    return width
 
 
-def _convert(terms, fn):
-    return {m: fn(c) for m, c in terms.items()}
+class _Packing:
+    """The monomials of one order as ints with fields of one width."""
+
+    def __init__(self, order, width):
+        n = order.ring.nvars
+        self.order = order
+        self.width = width
+        self.shifts = range(0, n * width, width)
+        self.units = tuple(
+            (w << n * width) + (1 << s) for w, s in zip(order.weights(width), self.shifts)
+        )
+        self.guard = sum(1 << (s + width - 1) for s in self.shifts)
+        self.fields = (1 << n * width) - 1
+        self.mask = (1 << width) - 1
+
+    def pack(self, exps):
+        return sum(map(mul, exps, self.units))
+
+    def unpack(self, m):
+        mask = self.mask
+        return tuple([(m >> s) & mask for s in self.shifts])
+
+    def pack_terms(self, terms, to_raw):
+        return {self.pack(m): to_raw(c) for m, c in terms.items()}
+
+    def unpack_terms(self, pairs, from_raw):
+        return {self.unpack(m): from_raw(c) for m, c in pairs}
+
+    def record(self, terms, to_raw):
+        """(leading monomial, tail) of a term map, the tail biggest first."""
+        packed = sorted(self.pack_terms(terms, to_raw).items())
+        return packed[0][0], tuple(packed[1:])
+
+    def lcm(self, a, b):
+        """The exponent fields of lcm(a, b), without the key bits."""
+        guard, fields = self.guard, self.fields
+        a, b = a & fields, b & fields
+        ge = ((a | guard) - b) & guard  # guard bits of the fields where a_i >= b_i
+        keep = ge - (ge >> (self.width - 1))  # value bits of those fields
+        return (a & keep) | (b & ~keep)
 
 
-def _reduce_terms(terms, basis, hkey, submul):
-    """Yield the remainder terms of a raw term dict against (leading monomial,
-    tail) records sorted ascending by leading monomial, so the first divisor
-    found has the smallest one.  Terms pop biggest first from a heap on hkey
-    and a step adds only smaller terms, so each yielded term is final."""
+def _widening(pk, work):
+    """(packing, work(packing)) for pk, or for the first packing of twice,
+    four times, ... its width at which no monomial overflows."""
+    while True:
+        try:
+            return pk, work(pk)
+        except _Overflow:
+            pk = _Packing(pk.order, 2 * pk.width)
+
+
+def _reduce(terms, basis, guard, submul):
+    """Yield the remainder terms of (packed monomial, raw coefficient) pairs
+    against (leading monomial, tail) records sorted ascending by leading
+    monomial, so the first divisor found has the smallest one.  The smallest
+    int, the biggest monomial, pops first and a step adds only smaller
+    terms, so each yielded term is final.  Raises _Overflow when a popped
+    term has a guard bit set."""
     work = dict(terms)
-    heap = [(hkey(m), m) for m in work]
+    heap = list(work)
     heapify(heap)
     while heap:
-        m = heappop(heap)[1]
+        m = heappop(heap)
         c = work.pop(m, None)
         if c is None:  # cancelled after it entered the heap
             continue
+        if m & guard:
+            raise _Overflow
         for lt, tail in basis:
-            if all(map(le, lt, m)):
+            if not (m - lt) & guard:
                 break
         else:
             yield m, c
             continue
-        shift = tuple(map(sub, m, lt))
+        shift = m - lt
         for tm, tc in tail:
-            k2 = tuple(map(add, tm, shift))
-            old = work.get(k2)
+            k = tm + shift
+            old = work.get(k)
             s = submul(old, c, tc)
             if s:
                 if old is None:
-                    heappush(heap, (hkey(k2), k2))
-                work[k2] = s
+                    heappush(heap, k)
+                work[k] = s
             elif old is not None:
-                del work[k2]
+                del work[k]
 
 
 class _GB:
     """Working state for Buchberger with Gebauer-Moller pair pruning."""
 
-    def __init__(self, order):
-        self.hkey = order.key
-        self.dom = order.ring.field
-        self.elems = []    # term dicts, monic, never removed
-        self.lts = []
-        self.hkeys = []    # heap key of each leading monomial
-        self.tails = []    # each element's terms but its leading one
+    def __init__(self, packing, dom):
+        self.pk = packing
+        self.dom = dom
+        self.lts = []      # packed leading monomial of each element, never removed
+        self.tails = []    # each element's other terms, monic, biggest first
         self.active = []   # indices with currently minimal leading terms
-        self.pairs = []    # heap of (degree, -heap key of lcm, i, j, lcm)
+        self.pairs = []    # heap of (lcm degree, -packed lcm, i, j)
         self.records = None  # active (lt, tail) records, rebuilt after add
 
     def _sorted_active(self):
         """Active indices ascending by leading monomial."""
-        return sorted(self.active, key=self.hkeys.__getitem__, reverse=True)
+        return sorted(self.active, key=self.lts.__getitem__, reverse=True)
 
     def reduce(self, terms):
         if self.records is None:
             self.records = [(self.lts[i], self.tails[i]) for i in self._sorted_active()]
-        return dict(_reduce_terms(terms, self.records, self.hkey, self.dom.submul))
+        return list(_reduce(terms, self.records, self.pk.guard, self.dom.submul))
 
-    def add(self, terms):
-        """Gebauer-Moller UPDATE with the new monic element."""
-        hkey = self.hkey
-        h = len(self.elems)
-        lt_h = min(terms, key=hkey)
-        mul, inv = self.dom.mul, self.dom.inv(terms[lt_h])
-        terms = {m: mul(c, inv) for m, c in terms.items()}
-        self.elems.append(terms)
-        self.lts.append(lt_h)
-        self.hkeys.append(hkey(lt_h))
-        self.tails.append(_tail(terms, lt_h))
+    def add(self, red):
+        """Gebauer-Moller UPDATE with a remainder, biggest term first."""
+        pk, lts = self.pk, self.lts
+        guard, fields, lcm = pk.guard, pk.fields, pk.lcm
+        h = len(lts)
+        lt_h, lc = red[0]
+        fields_h = lt_h & fields
+        mul, inv = self.dom.mul, self.dom.inv(lc)
+        lts.append(lt_h)
+        self.tails.append(tuple((m, mul(c, inv)) for m, c in red[1:]))
         self.records = None
 
-        # candidate pairs (g, h), keeping one representative per minimal lcm
-        cand = [(g, monomial_lcm(self.lts[g], lt_h)) for g in self.active]
+        # candidate pairs (g, h), keeping one representative per minimal lcm;
+        # lcms here are exponent fields without key bits
+        cand = [(g, lcm(lts[g], lt_h)) for g in self.active]
         kept = []
         for idx, (g, l) in enumerate(cand):
             kept_lcms = [l2 for (_, l2, _) in kept]
-            if monomial_mul(self.lts[g], lt_h) == l:  # coprime leading terms
+            if (lts[g] & fields) + fields_h == l:  # coprime leading terms
                 kept.append((g, l, True))
                 continue
             others = [l2 for k2, (_, l2) in enumerate(cand) if k2 != idx]
-            if any(monomial_divides(l2, l) and l2 != l for l2 in others + kept_lcms):
+            if any(not (l - l2) & guard and l2 != l for l2 in others + kept_lcms):
                 continue
             if any(l2 == l for (_, l2) in cand[idx + 1 :]) or l in kept_lcms:
                 continue
@@ -204,57 +279,59 @@ class _GB:
 
         # prune old pairs whose lcm is strictly killed by lt_h
         survivors = [
-            (deg, k, i, j, l) for (deg, k, i, j, l) in self.pairs
-            if not monomial_divides(lt_h, l)
-            or monomial_lcm(self.lts[i], lt_h) == l or monomial_lcm(self.lts[j], lt_h) == l
+            (deg, k, i, j) for (deg, k, i, j) in self.pairs
+            if (-k - lt_h) & guard
+            or lcm(lts[i], lt_h) == -k & fields or lcm(lts[j], lt_h) == -k & fields
         ]
         for g, l, coprime in kept:
             if not coprime:
-                survivors.append((sum(l), tuple(map(neg, hkey(l))), g, h, l))
+                e = pk.unpack(l)
+                survivors.append((sum(e), -pk.pack(e), g, h))
         heapify(survivors)
         self.pairs = survivors
 
-        self.active = [g for g in self.active if not monomial_divides(lt_h, self.lts[g])]
+        self.active = [g for g in self.active if (lts[g] - lt_h) & guard]
         self.active.append(h)
 
-    def spoly(self, i, j):
+    def spoly(self, i, j, l):
         # the monic leading terms cancel, so only the tails are shifted
-        l = monomial_lcm(self.lts[i], self.lts[j])
-        a = _mono_shift(self.tails[i], monomial_div(l, self.lts[i]))
-        shift = monomial_div(l, self.lts[j])
+        shift = l - self.lts[i]
+        a = {m + shift: c for m, c in self.tails[i]}
+        shift = l - self.lts[j]
         submul, one = self.dom.submul, self.dom.to_raw(self.dom.one())
         for m, c in self.tails[j]:
-            k = monomial_mul(m, shift)
+            k = m + shift
             s = submul(a.pop(k, None), one, c)
             if s:
                 a[k] = s
         return a
 
     def run(self, gen_terms):
-        """Reduced basis as (leading monomial, terms, tail) records sorted
+        """Reduced basis as packed (leading monomial, tail) records sorted
         ascending by leading monomial."""
         for terms in gen_terms:
             red = self.reduce(terms)
             if red:
                 self.add(red)
         while self.pairs:
-            _, _, i, j, _ = heappop(self.pairs)
-            red = self.reduce(self.spoly(i, j))
+            _, k, i, j = heappop(self.pairs)
+            red = self.reduce(self.spoly(i, j, -k))
             if red:
                 self.add(red)
         # tail-reduce the minimal basis into the reduced one
+        guard, submul = self.pk.guard, self.dom.submul
         ascending = self._sorted_active()
         for g in self.active:
             others = [(self.lts[i], self.tails[i]) for i in ascending if i != g]
-            self.elems[g] = dict(_reduce_terms(self.elems[g], others, self.hkey, self.dom.submul))
-            self.tails[g] = _tail(self.elems[g], self.lts[g])
-        return [(self.lts[g], self.elems[g], self.tails[g]) for g in ascending]
+            self.tails[g] = tuple(_reduce(self.tails[g], others, guard, submul))
+        return [(self.lts[g], self.tails[g]) for g in ascending]
 
 
 class Ideal:
     """Generators plus a monomial order and a lazily cached reduced
     Groebner basis.  Value-like: the basis is computed at most once, with
-    the (leading monomial, tail) records that normal forms reduce against."""
+    the packed (leading monomial, tail) records that normal forms reduce
+    against."""
 
     def __init__(self, ring, generators, order=None):
         gens = []
@@ -269,45 +346,67 @@ class Ideal:
         self.generators = tuple(gens)
         self.order = order if order is not None else MonomialOrder.grevlex(ring)
         self._gb = None
-        self._records = None
+        self._records = None  # (packing, records)
 
     @property
     def groebner_basis(self):
         if self._gb is None:
             dom = self.ring.field
-            recs = _GB(self.order).run([_convert(g.terms, dom.to_raw) for g in self.generators])
-            self._records = [(lt, tail) for lt, _, tail in recs]
-            self._gb = tuple(Polynomial(self.ring, _convert(t, dom.from_raw)) for _, t, _ in recs)
+            gens = [g.terms for g in self.generators]
+
+            def build(pk):
+                return _GB(pk, dom).run([pk.pack_terms(t, dom.to_raw) for t in gens])
+
+            pk = _Packing(self.order, _width(chain.from_iterable(gens)))
+            self._records = pk, recs = _widening(pk, build)
+            one = dom.to_raw(dom.one())
+            self._gb = tuple(
+                Polynomial(self.ring, pk.unpack_terms(((lt, one),) + tail, dom.from_raw))
+                for lt, tail in recs
+            )
         return self._gb
 
-    def _gb_records(self):
-        """The basis as ascending (leading monomial, tail) records."""
-        return self._records if self.groebner_basis else []
+    def _packed_basis(self):
+        """(packing, ascending packed (leading monomial, tail) records)."""
+        self.groebner_basis  # builds both on first use
+        return self._records
 
-    def _remainder(self, f):
-        """The raw remainder terms of f, lazily, biggest first."""
+    def _remainder(self, f, limit):
+        """The packing and the first `limit` (None: all) raw remainder terms
+        of f, biggest first."""
         if f.ring != self.ring:
             raise IncompatibleFieldError("polynomial from a different ring")
         dom = self.ring.field
-        terms = _convert(f.terms, dom.to_raw)
-        return _reduce_terms(terms, self._gb_records(), self.order.key, dom.submul)
+
+        def reduce(pk):
+            if pk is not self._records[0]:  # a wider packing: repack the basis and keep it
+                self._records = pk, [pk.record(g.terms, dom.to_raw) for g in self._gb]
+            terms = pk.pack_terms(f.terms, dom.to_raw)
+            return list(islice(_reduce(terms, self._records[1], pk.guard, dom.submul), limit))
+
+        pk = self._packed_basis()[0]
+        width = _width(f.terms)
+        if width > pk.width:
+            pk = _Packing(self.order, width)
+        return _widening(pk, reduce)
 
     def normal_form(self, f):
         """Remainder of multivariate division by the reduced basis;
         zero exactly for ideal members."""
-        from_raw = self.ring.field.from_raw
-        return Polynomial(self.ring, {m: from_raw(c) for m, c in self._remainder(f)})
+        pk, terms = self._remainder(f, None)
+        return Polynomial(self.ring, pk.unpack_terms(terms, self.ring.field.from_raw))
 
     def contains(self, f):
-        """Membership, stopping at the first remainder term; nothing wraps."""
-        return next(self._remainder(f), None) is None
+        """Membership, stopping at the first remainder term; nothing unpacks."""
+        return not self._remainder(f, 1)[1]
 
     def is_unit_ideal(self):
         gb = self.groebner_basis
         return len(gb) == 1 and gb[0].total_degree() == 0
 
     def leading_monomials(self):
-        return [lt for lt, _ in self._gb_records()]
+        pk, records = self._packed_basis()
+        return [pk.unpack(lt) for lt, _ in records]
 
     def standard_monomials(self):
         """Monomials outside the leading-term ideal, grevlex ascending;
@@ -401,11 +500,7 @@ def ideal_power(I, n):
 
 def _extended_ring(ring, aux_name="_w"):
     """Ring with one auxiliary variable in front, plus both transfer maps."""
-    name = aux_name
-    k = 0
-    while name in ring.variables:
-        name = f"{aux_name}{k}"
-        k += 1
+    name = ring.field.fresh_name(aux_name, ring.variables)
     ext = PolyRing(ring.field, (name,) + ring.variables)
 
     def up(f):

@@ -90,6 +90,7 @@ class PolyRing:
         variables = list(variables)
         if len(set(variables)) != len(variables) or any(not v for v in variables):
             raise ValueError("variable names must be distinct and nonempty")
+        field.refuse_shadowing(variables)
         self.field = field
         self.variables = tuple(variables)
 

@@ -198,15 +198,20 @@ def diff_power_new_univariate(p, n):
     and the least j with j*e >= n is ceil(n / e).  When m is inseparable
     (x^p - t over F_p(t)) e exceeds 1 and the power drops below n.
     """
+    return ideal_power(p.ideal, _univariate_exponent(p, n))
+
+
+def _univariate_exponent(p, n):
+    """The j with p^j the univariate solution-set power: ceil(n / ord_u(m))."""
     if p.kind != UNIVARIATE:
         raise ValueError("univariate solution-set power needs a univariate prime")
     if n < 1:
         raise ValueError("differential power requires n >= 1")
     K = p.ring.field
-    L = AlgExtField(K, "u", to_unipoly(p.minpoly))
+    L = AlgExtField(K, K.fresh_name("u"), to_unipoly(p.minpoly))
     m_ext = to_unipoly(p.minpoly, target_field=L, embed=L.coerce)
     e = _vanishing_order_at_root(m_ext, L.generator())
-    return ideal_power(p.ideal, -(-n // e))
+    return -(-n // e)
 
 
 def diff_power_new(p, n):
@@ -220,6 +225,18 @@ def diff_power_new(p, n):
         "solution-set differential powers need a rational-point "
         "or univariate-algebraic prime"
     )
+
+
+def _new_from_power(p, n, pn):
+    """The solution-set power, reusing pn = p^n where it is that power: at a
+    point J = 0, so J + m^n has p^n's generators, and a univariate prime
+    with ceil(n / e) = n has p^n itself."""
+    if p.kind == RATIONAL_POINT:
+        return pn
+    if p.kind == UNIVARIATE:
+        j = _univariate_exponent(p, n)
+        return pn if j == n else ideal_power(p.ideal, j)
+    return diff_power_new(p, n)
 
 
 VERDICT_SUBSET = "subset"
@@ -335,8 +352,7 @@ def chain_check(p, n, agreement_bound=None):
     )
 
     try:
-        # at a point J = 0, so J + m^n is p^n on the same generators
-        report.new_diff = pn if p.kind == RATIONAL_POINT else diff_power_new(p, n)
+        report.new_diff = _new_from_power(p, n, pn)
     except UnsupportedCharacteristicError:
         pass  # a witness prime has no solution-set power to compare
     if report.new_diff is not None:

@@ -255,6 +255,19 @@ CONTRACT = [
      2, {"error": "the standard-monomial count is infinite: "}),
     ("failed-assertion", "field QQ; ring [x, y]; ideal I = x^2, y; assert-member x, I;",
      1, {"ok": False}),
+    ("variable-shadows-generator", "field ext(QQ, u, u^2 - 2); ring [x, u]; "
+     "ideal I = x - u; gb I;", 2,
+     {"stderr": "input error: name 'u' shadows a generator of QQ[u]/(u^2 - 2) (at position 27)"}),
+    ("ext-shadows-generator", "field ext(Fp(3)(t), t, t^2 - 2); ring [x]; "
+     "ideal I = x - t; gb I;", 2,
+     {"stderr": "input error: name 't' shadows a generator of GF(3)(t) (at position 6)"}),
+    ("ratfunc-shadows-generator", "field Fp(3)(t)(t); ring [x];", 2,
+     {"stderr": "input error: name 't' shadows a generator of GF(3)(t) (at position 15)"}),
+    # the engine's own auxiliary variable and root names avoid the field's
+    ("auxiliary-name-taken", "field QQ(_w); ring [x]; ideal I = _w*x^2, x - 1; sat I, x;",
+     0, {"result": ["1"]}),
+    ("root-name-taken", "field QQ(u); ring [x]; prime p = x^2 - u : univariate; "
+     "diffpow --new p 2;", 0, {"result": ["x^4 - 2*u*x^2 + u^2"]}),
 ]
 
 

@@ -4,6 +4,7 @@ from functools import cmp_to_key
 
 import pytest
 
+from noethops import groebner
 from noethops.errors import ArityMismatchError, IncompatibleFieldError
 from noethops.fields import GF, QQ, AlgExtField, RatFuncField, UniPoly
 from noethops.groebner import (
@@ -290,6 +291,12 @@ def test_order_key_matches_textbook_definitions(order):
     monos = list({tuple(rng.randint(0, 4) for _ in range(5)) for _ in range(300)})
     want = sorted(monos, key=cmp_to_key(textbook), reverse=True)
     assert sorted(monos, key=order.key) == want
+    for width in (16, 32):  # the kernel's packed ints, up to the guard bits
+        top = (1 << (width - 1)) - 1
+        edge = list({tuple(rng.choice((0, 1, top - 1, top)) for _ in range(5)) for _ in range(300)})
+        pack = groebner._Packing(order, width).pack
+        assert sorted(monos, key=pack) == want
+        assert sorted(edge, key=pack) == sorted(edge, key=cmp_to_key(textbook), reverse=True)
     assert all(order.compare(a, b) == textbook(a, b) for a, b in zip(monos, monos[1:]))
 
 
@@ -447,3 +454,57 @@ def test_ideal_with_basis_survives_pickle():
     f = R4.parse("x^2*z - x*y^2 + w")
     assert J.normal_form(f) == I.normal_form(f)
     assert J.contains(R4.parse("x*z - y^2"))
+
+
+def test_huge_exponents_pinned():
+    # exponents past 2^40 pack into 64-bit fields, not into a neighbour's
+    I = ideal(R2, "x^1099511627776 - y", "y^2")
+    assert [str(g) for g in I.groebner_basis] == ["y^2", "x^1099511627776 - y"]
+    assert str(I.normal_form(R2.parse("x^1099511627777 + x*y"))) == "2*x*y"
+
+
+def test_exponents_outgrowing_the_packing_width():
+    # inputs below 2^14 pack into 16-bit fields, but lex reduction makes
+    # y^40000, past 2^15: the work is redone at 32 bits
+    R = PolyRing(QQ, ["x", "y", "z"])
+    lex = MonomialOrder.lex(R)
+    I = ideal(R, "x - y^100", order=lex)
+    assert I.normal_form(R.parse("x^400 + z")) == R.parse("y^40000 + z")
+    assert I.contains(R.parse("x^400 - y^40000"))
+    J = ideal(R, "x - y^200", "x^200 - z", order=lex)
+    assert [str(g) for g in J.groebner_basis] == ["y^40000 - z", "-y^200 + x"]
+    assert J.contains(R.parse("y^40000*x - z*x"))
+
+
+@pytest.mark.parametrize("field", [QQ, GF(32003), RatFuncField(GF(3), "t")],
+                         ids=["QQ", "GF(32003)", "F3(t)"])
+@pytest.mark.parametrize("kind", ["lex", "grevlex", "elimination"])
+def test_normal_form_with_huge_exponents(field, kind):
+    # Ideals scaled by x_i -> x_i^B with B just past 2^31 or 2^63.  Every
+    # generator vanishes at the origin and has exponents divisible by B, so
+    # each leading monomial has an exponent >= B and every monomial with
+    # all exponents below B is standard.  r takes random monomials outside
+    # the leading-term ideal, by tuple comparison, so nf(sum h_i g_i + r) = r.
+    rng = random.Random(f"packing/{kind}/{field}")
+    ring = PolyRing(field, ["x", "y", "z"])
+    order = {"lex": MonomialOrder.lex, "grevlex": MonomialOrder.grevlex,
+             "elimination": lambda r: MonomialOrder.elimination(r, 1)}[kind](ring)
+    for trial in range(3):
+        B = rng.choice((2**31, 2**63)) + rng.randrange(3)
+
+        def scaled(p):
+            return ring.poly({tuple(e * B for e in m): c for m, c in p.terms.items()})
+
+        gens = [scaled(rng.choice(ring.gens()) * random_nonzero_poly(ring, rng, max_degree=2))
+                for _ in range(2)]
+        I = Ideal(ring, gens, order)
+        lts = I.leading_monomials()
+        r = {}
+        for _ in range(8 if trial else 0):  # the first trial keeps r = 0
+            m = tuple(rng.choice((0, rng.randrange(1, 4) * B)) + rng.randrange(3) for _ in range(3))
+            if not any(all(a <= b for a, b in zip(lt, m)) for lt in lts):
+                r[m] = random_nonzero(field, rng)
+        r = ring.poly(r)
+        f = sum((scaled(random_poly(ring, rng, max_degree=2)) * g for g in gens), r)
+        assert I.normal_form(f) == r
+        assert I.contains(f) == r.is_zero()

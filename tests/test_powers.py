@@ -216,9 +216,8 @@ def test_chain_check_rational_point_all_equal():
         assert agree and agree[0].holds
 
 
-def test_chain_check_builds_one_power(monkeypatch):
-    # symbolic and solution-set powers of a point's maximal ideal are both
-    # p^n itself: one Buchberger run on p^n's 4 generators, one on p's 2
+def count_buchberger_runs(monkeypatch):
+    """The generator count of every Buchberger run from now on."""
     runs = []
     run = groebner._GB.run
 
@@ -227,10 +226,29 @@ def test_chain_check_builds_one_power(monkeypatch):
         return run(self, gen_terms)
 
     monkeypatch.setattr(groebner._GB, "run", counted)
+    return runs
+
+
+def test_chain_check_builds_one_power(monkeypatch):
+    # symbolic and solution-set powers of a point's maximal ideal are both
+    # p^n itself: one Buchberger run on p^n's 4 generators, one on p's 2
+    runs = count_buchberger_runs(monkeypatch)
     p = PrimeData.rational_point(R2, (1, -2))
     report = chain_check(p, 3, agreement_bound=4)
     assert report.all_hold() and report.symbolic is report.new_diff
     assert sorted(runs) == [2, 4]
+
+
+def test_chain_check_reuses_univariate_power(monkeypatch):
+    # x^2 - 2 is separable, so e = 1 and ceil(n / e) = n: the symbolic and
+    # solution-set powers are both p^n, one run on p for the classical
+    # predicate and one on p^n when the report prints its basis
+    runs = count_buchberger_runs(monkeypatch)
+    report = chain_check(univariate_sqrt2(), 3)
+    assert report.all_hold() and report.symbolic is report.new_diff
+    assert report.find("symbolic", "new_diff").relation == "equal"
+    assert report.to_json()["new_diff"] == ["x^6 - 6*x^4 + 12*x^2 - 8"]
+    assert runs == [1, 1]
 
 
 @pytest.mark.parametrize("gens", [
