@@ -15,6 +15,13 @@ Field objects mint and describe elements; the elements themselves carry
 the usual arithmetic dunders, so code over a generic field just writes
 ``a * b + c``.  Everything is immutable and hashable.
 
+Fields stack into towers of any depth, such as F_p(t)(s): the last two
+kinds are :class:`TowerField` s over a ``base``, and one rule takes values
+in.  ``L.coerce(x)`` returns a value of L as it is and otherwise embeds
+``L.base.coerce(x)``, so a value lifts through every level below L.  An
+operator on values of two levels of a tower computes in the higher one;
+fields off each other's towers do not mix (``IncompatibleFieldError``).
+
 The four fields derive from :class:`Field`, which defines once what they
 share: identity (``==`` and ``hash`` compare a per-field ``_ident()``
 tuple), no named generators, and the domain of raw values that the
@@ -30,7 +37,8 @@ one of two bases.  :class:`RingValue` gives ``-``, reflected ``-``, ``==``
 and ``**`` by square-and-multiply; :class:`FieldValue` adds ``/``,
 reflected ``/``, negative powers, ``_lift`` through the value's ``field``
 and ``repr`` through its ``format``.  A type defines ``+``, unary ``-``,
-``*``, ``_key()`` (what ``==`` compares), ``_one()`` (where ``**`` starts)
+``*`` (each hands an operand that ``_lift`` refuses with None to
+``_above``), ``_key()`` (what ``==`` compares), ``_one()`` (where ``**`` starts)
 unless it overrides ``**``, ``_lift`` (the other operand as a value of its
 own type, or None) unless it is a field value, ``inverse()`` if it is one,
 and its own ``__hash__`` if it is hashable.
@@ -258,15 +266,16 @@ class RingValue:
 
     A value compares equal to the ints it lifts to, but cannot stand in for
     them as a dict or set key: ``GF(7).from_int(3)`` equals both 3 and 10,
-    so no hash of it can agree with the hashes of ints."""
+    so no hash of it can agree with the hashes of ints.  Nor does a value
+    lifted up a field tower hash like the value it was."""
 
     __slots__ = ()
 
     def __sub__(self, other):
-        other = self._lift(other)
-        if other is None:
-            return NotImplemented
-        return self + (-other)
+        lifted = self._lift(other)
+        if lifted is None:
+            return self._above(other, "__sub__")
+        return self + (-lifted)
 
     def __rsub__(self, other):
         other = self._lift(other)
@@ -282,6 +291,11 @@ class RingValue:
         if other is None:
             return NotImplemented
         return self._key() == other._key()
+
+    def _above(self, other, op):
+        """The result of op(self, other) for an other that ``_lift``
+        refused without raising: Python's reflected operator decides."""
+        return NotImplemented
 
     def __pow__(self, n):
         if n < 0:
@@ -303,22 +317,30 @@ class FieldValue(RingValue):
     __slots__ = ()
 
     def _lift(self, other):
-        if type(other) is type(self):
-            if other.field is not self.field and other.field != self.field:
-                raise IncompatibleFieldError(
-                    f"values of {other.field!r} and {self.field!r} mixed"
-                )
+        """other as a value of this field: itself if it is one, lifted if
+        its field lies below; None for a value of a field above (``_above``
+        or the reflected operator lifts self) or for no field value at all."""
+        if type(other) is type(self) and other.field is self.field:
             return other
         try:
             return self.field.coerce(other)
         except IncompatibleFieldError:
+            if isinstance(other, (FieldValue, Fraction)) and not extends(field_of(other), self.field):
+                raise
             return None
 
-    def __truediv__(self, other):
-        other = self._lift(other)
-        if other is None:
+    def _above(self, other, op):
+        # Python does not reflect an operator between two values of one
+        # type, so a value of a field above lifts self here.
+        if type(other) is not type(self):
             return NotImplemented
-        return self * other.inverse()
+        return getattr(other.field.coerce(self), op)(other)
+
+    def __truediv__(self, other):
+        lifted = self._lift(other)
+        if lifted is None:
+            return self._above(other, "__truediv__")
+        return self * lifted.inverse()
 
     def __rtruediv__(self, other):
         other = self._lift(other)
@@ -566,44 +588,55 @@ def uni_ext_gcd(a, b):
     return r0.monic(), s0 * scale, t0 * scale
 
 
-class RatFuncField(Field):
-    """Rational function field base(var), e.g. F_p(t) or Q(t)."""
+class TowerField(Field):
+    """A field built on ``base`` by one generator ``var``: what
+    RatFuncField and AlgExtField share.  A type makes its values from a
+    ``UniPoly`` over the base with ``_from_poly``; the rest, the tower rule
+    of ``coerce`` included, is defined here once."""
 
-    def __init__(self, base, var="t"):
+    def __init__(self, base, var):
         base.refuse_shadowing([var])
         self.base = base
         self.var = var
         self.characteristic = base.characteristic
 
     def zero(self):
-        return RatFunc(self, UniPoly(self.base, []), self._one_poly())
+        return self._from_poly(UniPoly(self.base, []))
 
     def one(self):
-        return RatFunc(self, self._one_poly(), self._one_poly())
-
-    def _one_poly(self):
-        return UniPoly.const(self.base, self.base.one())
+        return self._embed(self.base.one())
 
     def from_int(self, n):
-        return RatFunc(self, UniPoly.const(self.base, self.base.from_int(n)), self._one_poly())
+        return self._embed(self.base.from_int(n))
 
     def generator(self):
-        return RatFunc(self, UniPoly.gen(self.base), self._one_poly())
+        return self._from_poly(UniPoly.gen(self.base))
+
+    def _embed(self, b):
+        """The value of this field that the base value b is."""
+        return self._from_poly(UniPoly(self.base, [b]))
 
     def coerce(self, x):
-        if isinstance(x, RatFunc):
-            if x.field != self:
-                raise IncompatibleFieldError("rational functions over different bases")
+        """x itself if it is a value of this field, else the embedding of
+        base.coerce(x): a value lifts through every level below."""
+        if isinstance(x, FieldValue) and (x.field is self or x.field == self):
             return x
-        if isinstance(x, UniPoly) and x.field == self.base:
-            return RatFunc(self, x, self._one_poly())
-        base_elem = self.base.coerce(x)
-        return RatFunc(self, UniPoly.const(self.base, base_elem), self._one_poly())
+        return self._embed(self.base.coerce(x))
 
     def named_generators(self):
-        gens = dict(self.base.named_generators())
+        gens = {name: self.coerce(g) for name, g in self.base.named_generators().items()}
         gens[self.var] = self.generator()
         return gens
+
+
+class RatFuncField(TowerField):
+    """Rational function field base(var), e.g. F_p(t) or Q(t)."""
+
+    def __init__(self, base, var="t"):
+        super().__init__(base, var)
+
+    def _from_poly(self, num):
+        return RatFunc(self, num, UniPoly(self.base, [self.base.one()]))
 
     def format(self, a):
         num, den = a.num, a.den
@@ -649,13 +682,13 @@ class RatFunc(FieldValue):
         self.den = den
 
     def __add__(self, other):
-        other = self._lift(other)
-        if other is None:
-            return NotImplemented
+        lifted = self._lift(other)
+        if lifted is None:
+            return self._above(other, "__add__")
         return RatFunc(
             self.field,
-            self.num * other.den + other.num * self.den,
-            self.den * other.den,
+            self.num * lifted.den + lifted.num * self.den,
+            self.den * lifted.den,
         )
 
     __radd__ = __add__
@@ -664,10 +697,10 @@ class RatFunc(FieldValue):
         return RatFunc(self.field, -self.num, self.den)
 
     def __mul__(self, other):
-        other = self._lift(other)
-        if other is None:
-            return NotImplemented
-        return RatFunc(self.field, self.num * other.num, self.den * other.den)
+        lifted = self._lift(other)
+        if lifted is None:
+            return self._above(other, "__mul__")
+        return RatFunc(self.field, self.num * lifted.num, self.den * lifted.den)
 
     __rmul__ = __mul__
 
@@ -692,7 +725,7 @@ class RatFunc(FieldValue):
         return hash((self.num, self.den))
 
 
-class AlgExtField(Field):
+class AlgExtField(TowerField):
     """Simple extension base[u]/(m(u)); m monic, caller-certified irreducible."""
 
     def __init__(self, base, var, minpoly):
@@ -700,36 +733,11 @@ class AlgExtField(Field):
             raise ValueError("minimal polynomial must have degree >= 1")
         if minpoly.lead != base.one():
             raise ValueError("minimal polynomial must be monic")
-        base.refuse_shadowing([var])
-        self.base = base
-        self.var = var
+        super().__init__(base, var)
         self.minpoly = minpoly
-        self.characteristic = base.characteristic
 
-    def zero(self):
-        return AlgExtElem(self, UniPoly(self.base, []))
-
-    def one(self):
-        return AlgExtElem(self, UniPoly.const(self.base, self.base.one()))
-
-    def from_int(self, n):
-        return AlgExtElem(self, UniPoly.const(self.base, self.base.from_int(n)))
-
-    def generator(self):
-        return AlgExtElem(self, UniPoly.gen(self.base) % self.minpoly)
-
-    def coerce(self, x):
-        if isinstance(x, AlgExtElem):
-            if x.field != self:
-                raise IncompatibleFieldError("elements of different extensions")
-            return x
-        base_elem = self.base.coerce(x)
-        return AlgExtElem(self, UniPoly.const(self.base, base_elem))
-
-    def named_generators(self):
-        gens = {name: self.coerce(g) for name, g in self.base.named_generators().items()}
-        gens[self.var] = self.generator()
-        return gens
+    def _from_poly(self, rep):
+        return AlgExtElem(self, rep)
 
     def format(self, a):
         return a.rep.to_str(self.var)
@@ -751,10 +759,10 @@ class AlgExtElem(FieldValue):
         self.rep = rep
 
     def __add__(self, other):
-        other = self._lift(other)
-        if other is None:
-            return NotImplemented
-        return AlgExtElem(self.field, self.rep + other.rep)
+        lifted = self._lift(other)
+        if lifted is None:
+            return self._above(other, "__add__")
+        return AlgExtElem(self.field, self.rep + lifted.rep)
 
     __radd__ = __add__
 
@@ -762,10 +770,10 @@ class AlgExtElem(FieldValue):
         return AlgExtElem(self.field, -self.rep)
 
     def __mul__(self, other):
-        other = self._lift(other)
-        if other is None:
-            return NotImplemented
-        return AlgExtElem(self.field, (self.rep * other.rep) % self.field.minpoly)
+        lifted = self._lift(other)
+        if lifted is None:
+            return self._above(other, "__mul__")
+        return AlgExtElem(self.field, (self.rep * lifted.rep) % self.field.minpoly)
 
     __rmul__ = __mul__
 
@@ -808,15 +816,12 @@ def format_elem(x):
 
 
 def extends(big, small):
-    """True when `big` equals `small` or sits above it in a tower of
-    rational-function / algebraic extensions."""
-    while True:
-        if big == small:
-            return True
-        base = getattr(big, "base", None)
-        if base is None:
+    """True when `big` equals `small` or sits above it in a field tower."""
+    while big != small:
+        if not isinstance(big, TowerField):
             return False
-        big = base
+        big = big.base
+    return True
 
 
 def _needs_parens(s):

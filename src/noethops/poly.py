@@ -315,9 +315,9 @@ class Polynomial(RingValue):
         return self.format()
 
 
-def to_unipoly(f, target_field=None, embed=None):
-    """One-variable Polynomial -> UniPoly, optionally embedding the
-    coefficients into an extension field."""
+def to_unipoly(f, target_field=None):
+    """One-variable Polynomial -> UniPoly, optionally over a field above the
+    ring's, into which target_field.coerce lifts the coefficients."""
     from .fields import UniPoly
 
     if f.ring.nvars != 1:
@@ -326,7 +326,7 @@ def to_unipoly(f, target_field=None, embed=None):
     field = target_field if target_field is not None else f.ring.field
     coeffs = [field.zero()] * (d + 1)
     for (e,), c in f.terms.items():
-        coeffs[e] = embed(c) if embed is not None else c
+        coeffs[e] = field.coerce(c)
     return UniPoly(field, coeffs)
 
 

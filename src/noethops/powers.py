@@ -5,8 +5,8 @@ Three kinds of prime are supported, matching what can be computed
 exactly at desk scale:
 
 * ``rational-point``: the maximal ideal of a point of affine space;
-  symbolic powers are ordinary powers, and the solution-set power is
-  computed through truncated principal parts at the point.
+  symbolic powers are ordinary powers, and so is the solution-set power
+  (J + m^n with J = 0).
 * ``univariate-algebraic``: p = (m(x)) in K[x] with m monic and
   caller-certified irreducible; the residue field K[x]/(m) is built as
   an algebraic extension and the solution-set power is found by exact
@@ -198,45 +198,34 @@ def diff_power_new_univariate(p, n):
     and the least j with j*e >= n is ceil(n / e).  When m is inseparable
     (x^p - t over F_p(t)) e exceeds 1 and the power drops below n.
     """
-    return ideal_power(p.ideal, _univariate_exponent(p, n))
-
-
-def _univariate_exponent(p, n):
-    """The j with p^j the univariate solution-set power: ceil(n / ord_u(m))."""
     if p.kind != UNIVARIATE:
         raise ValueError("univariate solution-set power needs a univariate prime")
+    return diff_power_new(p, n)
+
+
+def _solution_set_exponent(p, n):
+    """The j with p^j the solution-set power of p: n at a rational point,
+    where J = 0 and J + m^n = p^n, and ceil(n / ord_u(m)) for a univariate
+    prime; refused for a general prime given only by a witness."""
     if n < 1:
         raise ValueError("differential power requires n >= 1")
-    K = p.ring.field
-    L = AlgExtField(K, K.fresh_name("u"), to_unipoly(p.minpoly))
-    m_ext = to_unipoly(p.minpoly, target_field=L, embed=L.coerce)
-    e = _vanishing_order_at_root(m_ext, L.generator())
-    return -(-n // e)
-
-
-def diff_power_new(p, n):
-    """Solution-set differential power of a prime, by the prime's kind;
-    refused for a general prime given only by a witness."""
     if p.kind == RATIONAL_POINT:
-        return diff_power_new_point(Ideal(p.ring, [], p.ideal.order), p.point, n)
+        return n
     if p.kind == UNIVARIATE:
-        return diff_power_new_univariate(p, n)
+        K = p.ring.field
+        L = AlgExtField(K, K.fresh_name("u"), to_unipoly(p.minpoly))
+        e = _vanishing_order_at_root(to_unipoly(p.minpoly, L), L.generator())
+        return -(-n // e)
     raise UnsupportedCharacteristicError(
         "solution-set differential powers need a rational-point "
         "or univariate-algebraic prime"
     )
 
 
-def _new_from_power(p, n, pn):
-    """The solution-set power, reusing pn = p^n where it is that power: at a
-    point J = 0, so J + m^n has p^n's generators, and a univariate prime
-    with ceil(n / e) = n has p^n itself."""
-    if p.kind == RATIONAL_POINT:
-        return pn
-    if p.kind == UNIVARIATE:
-        j = _univariate_exponent(p, n)
-        return pn if j == n else ideal_power(p.ideal, j)
-    return diff_power_new(p, n)
+def diff_power_new(p, n):
+    """Solution-set differential power of a prime, by the prime's kind;
+    refused for a general prime given only by a witness."""
+    return ideal_power(p.ideal, _solution_set_exponent(p, n))
 
 
 VERDICT_SUBSET = "subset"
@@ -352,10 +341,11 @@ def chain_check(p, n, agreement_bound=None):
     )
 
     try:
-        report.new_diff = _new_from_power(p, n, pn)
+        j = _solution_set_exponent(p, n)
     except UnsupportedCharacteristicError:
-        pass  # a witness prime has no solution-set power to compare
-    if report.new_diff is not None:
+        j = None  # a witness prime has no solution-set power to compare
+    if j is not None:
+        report.new_diff = pn if j == n else ideal_power(p.ideal, j)
         _inclusion_verdict(report, "symbolic", report.symbolic, "new_diff", report.new_diff)
 
     if char != 0:

@@ -268,6 +268,22 @@ CONTRACT = [
      0, {"result": ["1"]}),
     ("root-name-taken", "field QQ(u); ring [x]; prime p = x^2 - u : univariate; "
      "diffpow --new p 2;", 0, {"result": ["x^4 - 2*u*x^2 + u^2"]}),
+    # values of every level of a field tower lift into the top field
+    ("ext-univariate", "field ext(QQ, v, v^2 - 2); ring [x]; prime p = x^2 - v : univariate; "
+     "diffpow --new p 2; check-zn p 2;", 0,
+     {"symbolic": ["x^4 - 2*v*x^2 + 2"], "new_diff": ["x^4 - 2*v*x^2 + 2"]}),
+    ("nested-ext", "field ext(ext(QQ, v, v^2 - 2), w, w^2 - 3); ring [x]; "
+     "ideal I = x^2 - v*w; gb I;", 0, {"basis": ["x^2 - v*w"]}),
+    ("nested-ratfunc", "field Fp(5)(t)(s); ring [x]; ideal I = x^2 - t*s; gb I;", 0,
+     {"basis": ["x^2 + 4*t*s"]}),
+    ("ext-over-ratfunc-diffpow-4", "field ext(Fp(3)(t), u, u^3 - t); ring [x]; "
+     "prime q = x^3 - u : univariate; diffpow --new q 4;", 0,
+     {"result": ["x^6 + u*x^3 + u^2"]}),
+    ("ext-over-ratfunc-diffpow-7", "field ext(Fp(3)(t), u, u^3 - t); ring [x]; "
+     "prime q = x^3 - u : univariate; diffpow --new q 7;", 0, {"result": ["x^9 + 2*t"]}),
+    ("ext-over-ratfunc-check-zn", "field ext(Fp(3)(t), u, u^3 - t); ring [x]; "
+     "prime q = x^3 - u : univariate; check-zn q 2;", 0,
+     {"symbolic": ["x^6 + u*x^3 + u^2"], "new_diff": ["x^3 + 2*u"]}),
 ]
 
 

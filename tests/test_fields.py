@@ -22,7 +22,7 @@ from noethops.fields import (
     rational,
     uni_gcd,
 )
-from noethops.poly import PolyRing
+from noethops.poly import PolyRing, to_unipoly
 from noethops.weyl import DiffOp
 
 from conftest import random_elem, random_nonzero
@@ -371,3 +371,77 @@ def test_values_equal_ints_but_are_not_int_keys():
     a = GF(7).from_int(3)
     assert a == 3 and a == 10
     assert 3 not in {a}
+
+
+def _tower(*steps, bottom=QQ):
+    """Every level of a tower from `bottom`: a step "s" adjoins the rational
+    function variable s, and (name, text) adjoins a root of the monic
+    polynomial `text` in name, whose other names are generators below."""
+    levels = [bottom]
+    for step in steps:
+        below = levels[-1]
+        if isinstance(step, str):
+            levels.append(RatFuncField(below, step))
+        else:
+            name, text = step
+            m = to_unipoly(PolyRing(below, [name]).parse(text))
+            levels.append(AlgExtField(below, name, m))
+    return levels
+
+
+TOWERS = {
+    "F_3(t)(s)": _tower("t", "s", bottom=GF(3)),
+    "QQ[v][w]": _tower(("v", "v^2 - 2"), ("w", "w^2 - 3")),
+    "F_3(t)[u](s)": _tower("t", ("u", "u^3 - t"), "s", bottom=GF(3)),
+}
+
+
+def _sample(field):
+    """A nonzero value of field that lies in no level below it."""
+    if isinstance(field, (RatFuncField, AlgExtField)):
+        return field.generator() + 2
+    return field.from_int(2)
+
+
+@pytest.mark.parametrize("label", TOWERS)
+def test_values_lift_through_every_level(label):
+    *below, top = TOWERS[label]
+    b = top.generator() + 1
+    for field in below:
+        a = _sample(field)
+        lifted = top.coerce(a)
+        assert lifted.field == top and top.coerce(lifted) is lifted
+        assert a == lifted and lifted == a and not a != lifted
+        assert a != b and b != a
+        for op in (operator.add, operator.sub, operator.mul, operator.truediv):
+            assert op(a, b) == op(lifted, b)
+            assert op(b, a) == op(b, lifted)
+            assert op(a, b).field == top and op(b, a).field == top
+
+
+@pytest.mark.parametrize("label", TOWERS)
+def test_named_generators_are_values_of_the_top_field(label):
+    levels = TOWERS[label]
+    top = levels[-1]
+    gens = top.named_generators()
+    own = {f.var: f.generator() for f in levels[1:]}
+    assert list(gens) == list(own)
+    for name, g in gens.items():
+        assert g.field == top
+        assert g == own[name] and own[name] == g
+
+
+@pytest.mark.parametrize("label", IDENTITY_CASES)
+def test_fields_off_the_tower_still_refuse(label):
+    build, differing = IDENTITY_CASES[label]
+    top = RatFuncField(build(), "s")
+    a = top.generator() + 2
+    for other in differing:
+        c = other.from_int(2)
+        with pytest.raises(IncompatibleFieldError):
+            top.coerce(c)
+        for mixed in (operator.add, operator.sub, operator.mul, operator.truediv):
+            for x, y in ((a, c), (c, a)):
+                with pytest.raises(IncompatibleFieldError):
+                    mixed(x, y)
+        assert not a == c and not c == a

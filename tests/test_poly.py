@@ -168,6 +168,21 @@ def test_evaluate_in_extension():
     assert f.evaluate([L.generator()]) == L.coerce(t)
 
 
+def test_evaluate_at_coordinates_from_two_levels_of_a_tower():
+    F3T = RatFuncField(GF(3), "t")
+    F3TS = RatFuncField(F3T, "s")
+    t, s = F3T.generator(), F3TS.generator()
+    f = PolyRing(GF(3), ["x", "y"]).parse("x^2*y + 2*x + 1")
+    for a, b in ((t, s), (s, t)):
+        got = f.evaluate([a, b])
+        assert got.field == F3TS and got == a**2 * b + 2 * a + 1
+    Qv = AlgExtField(QQ, "v", UniPoly(QQ, [Fraction(-2), Fraction(0), Fraction(1)]))
+    Qvw = AlgExtField(Qv, "w", UniPoly(Qv, [Qv.from_int(-3), Qv.zero(), Qv.one()]))
+    v, w = Qv.generator(), Qvw.generator()
+    got = PolyRing(QQ, ["x", "y"]).parse("x^2*y - x*y^2").evaluate([v, w])
+    assert got.field == Qvw and got == 2 * w - 3 * v
+
+
 def test_translate():
     S = PolyRing(QQ, ["x"])
     u = S.var(0)

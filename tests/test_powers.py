@@ -143,7 +143,7 @@ def test_new_univariate_separable_control():
 def _scanned_power_exponent(prime, n):
     """Least j with (x - u)^n dividing m^j in L[x], by trying m, m^2, ..."""
     L = AlgExtField(prime.ring.field, "u", to_unipoly(prime.minpoly))
-    m = to_unipoly(prime.minpoly, target_field=L, embed=L.coerce)
+    m = to_unipoly(prime.minpoly, L)
     linear = UniPoly(L, [-L.generator(), L.one()])
     for j in range(1, n + 1):
         F = m**j
@@ -186,6 +186,16 @@ def test_new_univariate_matches_power_scan():
         for _ in range(3):
             prime = _random_irreducible_over_qq(rng, degree)
             cases += [(prime, n) for n in (1, 2, rng.randint(3, 4))]
+    # over extension fields: e = 1 for x^2 - v, and e = 3 for x^3 - w in
+    # characteristic 3 (the oracle names its own root u)
+    F3T = RatFuncField(GF(3), "t")
+    t, zero, one = F3T.generator(), F3T.zero(), F3T.one()
+    for base, text in (
+        (AlgExtField(QQ, "v", UniPoly(QQ, [Fraction(-2), Fraction(0), Fraction(1)])), "x^2 - v"),
+        (AlgExtField(F3T, "w", UniPoly(F3T, [-t, zero, zero, one])), "x^3 - w"),
+    ):
+        prime = PrimeData.univariate(PolyRing(base, ["x"]).parse(text))
+        cases += [(prime, n) for n in range(1, 7)]
     for prime, n in cases:
         j = _scanned_power_exponent(prime, n)
         assert ideal_equal(diff_power_new_univariate(prime, n), ideal_power(prime.ideal, j))
