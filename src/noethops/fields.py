@@ -266,8 +266,8 @@ class RingValue:
 
     A value compares equal to the ints it lifts to, but cannot stand in for
     them as a dict or set key: ``GF(7).from_int(3)`` equals both 3 and 10,
-    so no hash of it can agree with the hashes of ints.  Nor does a value
-    lifted up a field tower hash like the value it was."""
+    so no hash of it can agree with the hashes of ints.  A value lifted up
+    a field tower does hash like the value it was."""
 
     __slots__ = ()
 
@@ -616,6 +616,10 @@ class TowerField(Field):
         """The value of this field that the base value b is."""
         return self._from_poly(UniPoly(self.base, [b]))
 
+    def _base_hash(self, p):
+        """The hash of the base value that a UniPoly p of degree < 1 is."""
+        return hash(p.coeffs[0] if p.coeffs else self.base.zero())
+
     def coerce(self, x):
         """x itself if it is a value of this field, else the embedding of
         base.coerce(x): a value lifts through every level below."""
@@ -722,6 +726,8 @@ class RatFunc(FieldValue):
         return not self.num.is_zero()
 
     def __hash__(self):
+        if self.den.degree == 0 and self.num.degree < 1:  # den is monic: a base value
+            return self.field._base_hash(self.num)
         return hash((self.num, self.den))
 
 
@@ -799,6 +805,8 @@ class AlgExtElem(FieldValue):
         return not self.rep.is_zero()
 
     def __hash__(self):
+        if self.rep.degree < 1:
+            return self.field._base_hash(self.rep)
         return hash(("ext", self.rep))
 
 

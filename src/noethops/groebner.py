@@ -2,10 +2,27 @@
 
 The reduced Groebner basis of an ideal is computed once, cached, and is
 unique for a fixed order (monic, auto-reduced, sorted ascending by
-leading monomial).  Pair handling follows Gebauer-Moller: the three
-lcm-divisibility criteria plus Buchberger's coprimality criterion, with
-the normal selection strategy (smallest lcm degree, ties broken by the
-monomial order, then by pair index) so runs are deterministic.
+leading monomial).  Buchberger's algorithm is signature-based, in the
+rewrite style of Eder and Roune (ISSAC 2013; survey: Eder and Faugere,
+JSC 2017).  An element h = sum a_j f_j carries the signature (m, i) of
+its biggest module term in Schreyer's order: m * lt(f_i) in the ring
+order, then i.  One heap hands out signatures smallest first: e_i per
+generator and, for each new h and older g, the bigger of u * sig(h) and
+v * sig(g) with u * lt(h) = v * lt(g) = lcm, unless the two are equal,
+the leading terms are coprime (it is then the Koszul signature below) or
+sig(h) divides it (see (ii)).  A popped signature is skipped when (i) a
+recorded syzygy signature of its index divides it: one per reduction to
+zero and the Koszul signature max(lt(g) * sig(h), lt(h) * sig(g)) of
+each pair; (ii) an element newer than the pair's signature side has a
+signature dividing it; (iii) it was computed already.  Reduction is
+regular: g reduces a term t only when sig(g) * t / lt(g) is smaller than
+the signature reduced, and the g that makes it smallest is tried (on
+seeded rational-function scripts this beat the smallest leading term).
+Every nonzero remainder joins the basis, even a singular top-reducible
+one (an element has its leading term and signature): (ii) counts on the
+newest element of each signature, and dropping them skipped pairs
+nothing covered and missed basis elements.  At the end the minimal
+leading terms are kept and tail-reduced.
 
 Inside the kernel a monomial is one int.  Its low n*W bits are n exponent
 fields of W bits, variable i at bit i*W, and the top bit of each field is
@@ -15,17 +32,21 @@ the order's key, a linear form with one integer weight per variable
 Multiplying two monomials is one addition, and so is shifting a term's
 key; x^a divides x^b exactly when ``(b - a) & guard`` is zero, and an lcm
 takes a few guard-bit operations.  Reduction pops the next term from a
-heap of these ints, and a cancelled term is skipped when popped.  Pending
-pairs sit in a heap too.
+heap of these ints, and a cancelled term is skipped when popped.  A
+signature (m, i) is kept as the packed m * lt(f_i) and i, a sum of two
+kept monomials, so it compares as one int and divides another of its
+index by the same subtraction and mask.
 
 The width W is the smallest of 16, 32, 64, ... bits whose fields hold
 twice the input's largest exponent below the guard bit.  A sum of two kept
 monomials is exact in W-bit fields, so a product that outgrows a field
 sets that field's guard bit and disturbs nothing else, and the key still
 puts it in its place among the others.  The kernel checks the guard bits
-of every term before it reduces or keeps it, and when one is set it redoes
-the whole computation at twice the width.  So no result depends on the
-width, and no input is refused for its exponents.
+of every term before it reduces or keeps it and of every signature it
+compares, and when one is set it redoes the whole computation at twice
+the width; a Koszul signature that overflows is only left unrecorded.  So
+no result depends on the width, and no input is refused for its
+exponents.
 
 The kernel computes on raw coefficients through its field's domain
 operations (see ``fields``).  Only ``Ideal`` converts: it packs generators
@@ -39,6 +60,8 @@ block elimination order, the standard single-variable constructions.
 
 import sys
 from functools import partial
+from bisect import insort
+from collections import defaultdict
 from heapq import heapify, heappop, heappush
 from itertools import chain, islice, product
 from operator import mul, neg
@@ -174,12 +197,12 @@ class _Packing:
         return packed[0][0], tuple(packed[1:])
 
     def lcm(self, a, b):
-        """The exponent fields of lcm(a, b), without the key bits."""
+        """lcm(a, b), packed."""
         guard, fields = self.guard, self.fields
         a, b = a & fields, b & fields
         ge = ((a | guard) - b) & guard  # guard bits of the fields where a_i >= b_i
         keep = ge - (ge >> (self.width - 1))  # value bits of those fields
-        return (a & keep) | (b & ~keep)
+        return self.pack(self.unpack((a & keep) | (b & ~keep)))
 
 
 def _widening(pk, work):
@@ -229,69 +252,100 @@ def _reduce(terms, basis, guard, submul):
 
 
 class _GB:
-    """Working state for Buchberger with Gebauer-Moller pair pruning."""
+    """Working state for a signature-based Buchberger run (see the module
+    docstring).  A signature (s, i) is kept as its Schreyer lead: s is the
+    packed m * lt(f_i) and i the generator index."""
 
     def __init__(self, packing, dom):
         self.pk = packing
         self.dom = dom
-        self.lts = []      # packed leading monomial of each element, never removed
-        self.tails = []    # each element's other terms, monic, biggest first
-        self.active = []   # indices with currently minimal leading terms
-        self.pairs = []    # heap of (lcm degree, -packed lcm, i, j)
-        self.records = None  # active (lt, tail) records, rebuilt after add
+        self.lts = []       # packed leading monomial of each element
+        self.tails = []     # each element's other terms, monic, biggest first
+        self.sigs = []      # each element's signature (s, i)
+        self.reducers = []  # (lt, s - lt, i, tail), smallest sig / lt first
+        self.queue = []     # heap of (-s, i) for e_i, (-s, i, -side, other, lcm) for pairs
+        self.syz = defaultdict(list)       # i: recorded syzygy signatures s
+        self.by_index = defaultdict(list)  # i: (element, s) in the order added
 
-    def _sorted_active(self):
-        """Active indices ascending by leading monomial."""
-        return sorted(self.active, key=self.lts.__getitem__, reverse=True)
+    def reduce(self, terms, s, i):
+        """The regular remainder of terms, biggest first, for signature
+        (s, i): as in _reduce, but g reduces a term t only when
+        sig(g) * t / lt(g) is smaller than (s, i), and the divisor chosen
+        is the one that makes it smallest."""
+        guard, submul = self.pk.guard, self.dom.submul
+        work = dict(terms)
+        heap = list(work)
+        heapify(heap)
+        out = []
+        while heap:
+            m = heappop(heap)
+            c = work.pop(m, None)
+            if c is None:  # cancelled after it entered the heap
+                continue
+            if m & guard:
+                raise _Overflow
+            for lt, d, j, tail in self.reducers:
+                if not (m - lt) & guard:
+                    break
+            else:
+                out.append((m, c))
+                continue
+            v = m + d  # the lead of sig(g) * m / lt(g), smallest over the divisors
+            if v & guard:
+                raise _Overflow
+            if v < s or v == s and j >= i:  # not regular, so no divisor is
+                out.append((m, c))
+                continue
+            shift = m - lt
+            for tm, tc in tail:
+                k = tm + shift
+                old = work.get(k)
+                t = submul(old, c, tc)
+                if t:
+                    if old is None:
+                        heappush(heap, k)
+                    work[k] = t
+                elif old is not None:
+                    del work[k]
+        return out
 
-    def reduce(self, terms):
-        if self.records is None:
-            self.records = [(self.lts[i], self.tails[i]) for i in self._sorted_active()]
-        return list(_reduce(terms, self.records, self.pk.guard, self.dom.submul))
-
-    def add(self, red):
-        """Gebauer-Moller UPDATE with a remainder, biggest term first."""
-        pk, lts = self.pk, self.lts
-        guard, fields, lcm = pk.guard, pk.fields, pk.lcm
+    def add(self, red, s, i):
+        """Append a regular remainder with signature (s, i), queue its pairs
+        with every older element and record their Koszul signatures."""
+        pk, lts, sigs = self.pk, self.lts, self.sigs
+        guard = pk.guard
         h = len(lts)
         lt_h, lc = red[0]
-        fields_h = lt_h & fields
         mul, inv = self.dom.mul, self.dom.inv(lc)
+        tail = tuple((m, mul(c, inv)) for m, c in red[1:])
+        for g, (lt_g, (s_g, i_g)) in enumerate(zip(lts, sigs)):
+            ka, kb = s + lt_g, s_g + lt_h  # lt(g) * sig(h), lt(h) * sig(g)
+            if not (ka | kb) & guard and (ka, i) != (kb, i_g):
+                if (-ka, i) > (-kb, i_g):
+                    self.syzygy(ka, i)
+                else:
+                    self.syzygy(kb, i_g)
+            l = pk.lcm(lt_h, lt_g)
+            if l == lt_h + lt_g:  # coprime: the pair's signature is the Koszul one
+                continue
+            a, b = s + l - lt_h, s_g + l - lt_g
+            if (a | b) & guard:
+                raise _Overflow
+            if (-a, i) > (-b, i_g):
+                heappush(self.queue, (-a, i, -h, g, l))
+            elif (a, i) != (b, i_g) and (i != i_g or (b - s) & guard):  # else h rewrites it
+                heappush(self.queue, (-b, i_g, -g, h, l))
         lts.append(lt_h)
-        self.tails.append(tuple((m, mul(c, inv)) for m, c in red[1:]))
-        self.records = None
+        self.tails.append(tail)
+        sigs.append((s, i))
+        self.by_index[i].append((h, s))
+        insort(self.reducers, (lt_h, s - lt_h, i, tail), key=lambda r: (-r[1], r[2]))
 
-        # candidate pairs (g, h), keeping one representative per minimal lcm;
-        # lcms here are exponent fields without key bits
-        cand = [(g, lcm(lts[g], lt_h)) for g in self.active]
-        kept = []
-        for idx, (g, l) in enumerate(cand):
-            kept_lcms = [l2 for (_, l2, _) in kept]
-            if (lts[g] & fields) + fields_h == l:  # coprime leading terms
-                kept.append((g, l, True))
-                continue
-            others = [l2 for k2, (_, l2) in enumerate(cand) if k2 != idx]
-            if any(not (l - l2) & guard and l2 != l for l2 in others + kept_lcms):
-                continue
-            if any(l2 == l for (_, l2) in cand[idx + 1 :]) or l in kept_lcms:
-                continue
-            kept.append((g, l, False))
-
-        # prune old pairs whose lcm is strictly killed by lt_h
-        survivors = [
-            (deg, k, i, j) for (deg, k, i, j) in self.pairs
-            if (-k - lt_h) & guard
-            or lcm(lts[i], lt_h) == -k & fields or lcm(lts[j], lt_h) == -k & fields
-        ]
-        for g, l, coprime in kept:
-            if not coprime:
-                e = pk.unpack(l)
-                survivors.append((sum(e), -pk.pack(e), g, h))
-        heapify(survivors)
-        self.pairs = survivors
-
-        self.active = [g for g in self.active if (lts[g] - lt_h) & guard]
-        self.active.append(h)
+    def syzygy(self, s, i):
+        """Record the syzygy signature (s, i) unless a recorded one divides it."""
+        zs, guard = self.syz[i], self.pk.guard
+        if all((s - z) & guard for z in zs):
+            zs.append(s)
 
     def spoly(self, i, j, l):
         # the monic leading terms cancel, so only the tails are shifted
@@ -309,22 +363,40 @@ class _GB:
     def run(self, gen_terms):
         """Reduced basis as packed (leading monomial, tail) records sorted
         ascending by leading monomial."""
-        for terms in gen_terms:
-            red = self.reduce(terms)
+        guard, queue = self.pk.guard, self.queue
+        queue.extend((-min(t), i) for i, t in enumerate(gen_terms))
+        heapify(queue)
+        last = None
+        while queue:
+            neg_s, i, *pair = heappop(queue)
+            if (neg_s, i) == last:  # (iii): one entry per signature
+                continue
+            last = neg_s, i
+            s = -neg_s
+            if any(not (s - z) & guard for z in self.syz[i]):  # (i)
+                continue
+            if pair:
+                side, other, l = pair
+                if any(e > -side and not (s - t) & guard for e, t in self.by_index[i]):  # (ii)
+                    continue
+                terms = self.spoly(-side, other, l)
+            else:
+                terms = gen_terms[i]
+            red = self.reduce(terms, s, i)
             if red:
-                self.add(red)
-        while self.pairs:
-            _, k, i, j = heappop(self.pairs)
-            red = self.reduce(self.spoly(i, j, -k))
-            if red:
-                self.add(red)
-        # tail-reduce the minimal basis into the reduced one
-        guard, submul = self.pk.guard, self.dom.submul
-        ascending = self._sorted_active()
-        for g in self.active:
-            others = [(self.lts[i], self.tails[i]) for i in ascending if i != g]
-            self.tails[g] = tuple(_reduce(self.tails[g], others, guard, submul))
-        return [(self.lts[g], self.tails[g]) for g in ascending]
+                self.add(red, s, i)
+            else:
+                self.syzygy(s, i)
+        # keep the minimal leading terms, then tail-reduce them
+        kept = []
+        for lt, _, _, tail in sorted(self.reducers, key=lambda r: -r[0]):
+            if all((lt - k) & guard for k, _ in kept):
+                kept.append((lt, tail))
+        submul = self.dom.submul
+        return [
+            (lt, tuple(_reduce(tail, kept[:g] + kept[g + 1:], guard, submul)))
+            for g, (lt, tail) in enumerate(kept)
+        ]
 
 
 class Ideal:

@@ -420,6 +420,19 @@ def test_values_lift_through_every_level(label):
 
 
 @pytest.mark.parametrize("label", TOWERS)
+def test_lifted_values_hash_as_they_did(label):
+    levels = TOWERS[label]
+    for i, field in enumerate(levels[:-1]):
+        for a in (_sample(field), field.zero(), field.one()):
+            for above in levels[i + 1:]:
+                lifted = above.coerce(a)
+                assert hash(lifted) == hash(a)
+                assert lifted in {a} and a in {lifted}
+    top = levels[-1]
+    assert len({top.coerce(_sample(f)) for f in levels} | {_sample(f) for f in levels}) == len(levels)
+
+
+@pytest.mark.parametrize("label", TOWERS)
 def test_named_generators_are_values_of_the_top_field(label):
     levels = TOWERS[label]
     top = levels[-1]

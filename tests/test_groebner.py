@@ -1,3 +1,5 @@
+import hashlib
+import json
 import pickle
 import random
 from functools import cmp_to_key
@@ -5,6 +7,7 @@ from functools import cmp_to_key
 import pytest
 
 from noethops import groebner
+from noethops.cli import parse_script, run
 from noethops.errors import ArityMismatchError, IncompatibleFieldError
 from noethops.fields import GF, QQ, AlgExtField, RatFuncField, UniPoly
 from noethops.groebner import (
@@ -508,3 +511,141 @@ def test_normal_form_with_huge_exponents(field, kind):
         f = sum((scaled(random_poly(ring, rng, max_degree=2)) * g for g in gens), r)
         assert I.normal_form(f) == r
         assert I.contains(f) == r.is_zero()
+
+
+# The reduced basis of an ideal whose run adds singular top-reducible
+# elements: a signature run that drops them returns 21 polynomials.
+SINGULAR_SCRIPT = (
+    "field Fp(32003); ring [x, y, z, w]; ideal I = 5*z^2*w^2 + 2*y*z - 3*y^2*w^2 + 4, "
+    "z*w - 3*x^2*w - 3*y*w^2, 2*y^2*z^2 + 5*x*w, 2*x^2*y + 2*y^2 - 3*y^2*z^2*w^2 - 3*z^2; gb I;"
+)
+SINGULAR_BASIS = [
+    "x^2 + y*w + 21335*z",
+    "x*w^3 + 17068*y^2*w + 14935*y^2 + 15646*y*z + 25602*z^2",
+    "y^2*w^2 + 10666*z^2*w^2 + 10667*y*z + 21334",
+    "y^2*z^2 + 16004*x*w",
+    "y*w^4 + 14935*x*y^2*w + 21335*z*w^3 + 17068*x*y^2 + 16357*x*y*z + 6401*x*z^2",
+    "x*y*z^2*w + 23113*z^2*w^3 + 8297*x*y*z^2 + 10668*x*z^3 + 15999*w^3 + 27262*w",
+    "y^3*z*w + 10666*y*z^3*w + 16009*z^4*w + 16009*x*y*z*w^2 + 3*y^4 + 32002*y^3*z + 10666*y*z^3 + 16009*z^4 + 16009*x*y*z*w + 8027*x*w^2 + 31999*y^2 + 24041*x*w",
+    "y^4*w + 32002*y^4 + 21335*y^3*z + 17780*y*z^3 + 15999*z^4 + 15999*x*y*z*w + 5338*x*w^2 + 2654*x*w",
+    "w^6 + 9985*y^5 + 23042*y*z^4 + 27599*x*y^3*w + 5737*x*y^2*z*w + 16041*x*z^3*w + 29685*y*z*w^3 + 3751*z^2*w^3 + 2*w^5 + 17063*x*y^3 + 1468*x*y^2*z + 12316*x*y*z^2 + 8300*x*z^3 + 25318*y^3*w + 30297*x*y*w^2 + 5347*y*z*w^2 + 20624*w^4 + 14707*y^3 + 12896*y^2*z + 5974*y*z^2 + 22995*x*y*w + 10810*x*z*w + 19061*w^3 + 12896*x*y + 11948*x*z + 16919*w^2 + 8167*w",
+    "z^2*w^4 + 8961*x*y^3*w + 12801*y*z*w^3 + 23042*x*y^3 + 29016*x*y^2*z + 29443*x*y*z^2 + 6401*y*z*w^2 + 12802*w^2",
+    "y*z^2*w^3 + 12800*x*y*z^3 + 21336*y*w^2 + 3*z*w^2 + 10667*y*w + 24891*z*w",
+    "z^4*w^2 + 6401*y*z^3 + 6401*y^2*w + 25602*y^2 + 8534*y*z + 6402*z^2",
+    "x*z^3*w^2 + 19203*y*z^4 + 8534*x*y^3*w + 10668*y*z*w^3 + 15994*w^5 + 7823*x*y^2*z + 32001*x*y*w^2 + 2*x*y*w + 21336*x*z*w + 23115*w^3 + 31292*x*y + 20150*w",
+    "z^5*w + 15646*y^5 + 6401*y^4*z + 12511*y*z^4 + 23707*z^5 + 7981*x*y^3*w + 7112*x*y^2*z*w + 21335*x*z^3*w + 26274*y*z*w^3 + 22060*z^2*w^3 + 24894*w^5 + 7823*x*y^3 + 18675*x*y^2*z + 14891*x*y*z^2 + 5531*x*z^3 + 27263*x*y*w^2 + 16005*x*z*w^2 + 28447*y*z*w^2 + 16004*w^4 + 474*y^3 + 2133*y^2*z + 5137*x*y*w + 24304*x*z*w + 26408*w^3 + 10931*x*y + 30818*x*z + 29632*w^2 + 351*w",
+    "y*z^4*w + 6401*y^5 + 8296*y*z^4 + 10668*z^5 + 7112*x*y^3*w + x*y^2*z*w + 14223*y*z*w^3 + 13631*z^2*w^3 + 16014*w^5 + 8297*x*y^2*z + 29238*x*y*z^2 + 28447*x*z^3 + 26676*x*y*w^2 + 2133*y^3 + 23115*x*y*w + 5335*x*z*w + 20148*w^3 + 1185*x*y + 10669*x*z",
+    "z^6 + 27262*x*z^4*w + 23801*z^3*w^3 + 19556*z*w^5 + 23706*x*y^4 + 24101*x*y^3*z + 23784*x*y*z^3 + 20984*x*z^4 + 9482*x*y*z*w^2 + 19755*y*z^2*w^2 + 29237*z^3*w^2 + 8296*x*y^2*w + 11853*x*y*z*w + 12846*x*z^2*w + 12248*y*z^2*w + 592*y*w^3 + 5139*z*w^3 + 24101*x*y^2 + 7771*x*y*z + 13038*x*z^2 + 24496*y*z^2 + 23244*y*w^2 + 25879*z*w^2 + 13170*y*w + 10670*z*w + 10669*x + 16989*z",
+    "y*z^5 + 26670*x*z^4*w + 19095*z^3*w^3 + 23996*z*w^5 + 10668*x*y^4 + 28447*x*y^3*z + 351*x*y*z^3 + 14422*x*z^4 + 10666*x*y*z*w^2 + 8890*y*z^2*w^2 + 19556*z^3*w^2 + 21335*x*y^2*w + 21337*x*y*z*w + 17780*x*z^2*w + 23113*y*z^2*w + 2664*y*w^3 + 31115*z*w^3 + 28447*x*y^2 + 18965*x*y*z + 26668*x*z^2 + 14223*y*z^2 + 8589*y*w^2 + 4445*z*w^2 + 27262*y*w + 10679*z*w + 28446*z",
+    "x*y^4*z + 14223*x*y*z^4 + 16004*x*z^5 + 26670*y*z^3*w + 31998*y*z*w^3 + 21334*x*y^2*z + 6*x*y*z^2 + 2654*y*z*w^2 + 12447*z^2*w^2 + 23113*y*z*w + 9783*z^2*w + 10666*y^2 + 17780*y*z + 16004*z^2 + 31988*w^2 + 7114",
+    "y^6 + 17760*x*z^4*w + 13750*z^3*w^3 + 22674*z*w^5 + 24884*x*y^4 + 29635*x*y^3*z + 21047*x*y*z^3 + 17299*x*z^4 + 12447*x*y*z*w^2 + 10676*x*z^2*w^2 + 5920*y*z^2*w^2 + 13661*z^3*w^2 + 13345*z*w^4 + 21334*y^4 + 29349*x*y^2*w + 9783*x*y*z*w + 23996*x*z^2*w + 21934*y*z^2*w + 8955*y*w^3 + 14085*z*w^3 + 602*x*y^2 + 16208*x*y*z + 31115*x*z^2 + 11865*y*z^2 + 9975*y*w^2 + 13805*z*w^2 + 25910*z*w + 21347*x + 23730*z",
+    "x*y^5 + 15999*x*y*z^4 + 26665*y*z^3*w^2 + 21327*z^2*w^3 + 21334*x*y^3 + 31105*z^2*w^2 + 8890*y^2*w + 11549*y*z*w + 27854*z^2*w + 2669*x*w^2 + 1766*y*z + 5338*x*w + 10656*w + 24874",
+]
+
+
+def test_basis_that_needs_singular_elements_pinned():
+    report = run(parse_script(SINGULAR_SCRIPT))
+    assert report["commands"][0]["basis"] == SINGULAR_BASIS
+
+
+SCRIPT_FIELDS = ("QQ", "Fp(7)", "Fp(32003)", "QQ(t)", "Fp(3)(t)", "ext(QQ, v, v^2 - 2)")
+SCRIPT_VARS = ("x", "y", "z", "w")
+
+
+def _random_poly_text(rng, field, names):
+    extra = {"QQ(t)": "t", "Fp(3)(t)": "t", "ext(QQ, v, v^2 - 2)": "v"}.get(field)
+    text = ""
+    for _ in range(rng.randint(2, 4)):
+        c = rng.randint(-3, 5) or 1
+        mono = [n + "^2" * (e - 1) for n in names if (e := rng.randint(0, 2)) and rng.random() < 0.6]
+        factors = [str(abs(c))] if abs(c) != 1 or not mono else []
+        if extra and rng.random() < 0.3:
+            factors = [f"({abs(c)} + {extra})"]
+        text += (" - " if c < 0 else " + ") + "*".join(factors + mono)
+    return text[3:] if text.startswith(" + ") else "-" + text[3:]
+
+
+def _random_script(rng):
+    """(order, script text) of one gb, sat or intersect job."""
+    field = rng.choice(SCRIPT_FIELDS)
+    names = SCRIPT_VARS[: rng.randint(2, 4)]
+    order = rng.choice(["grevlex", "lex"])
+    command = rng.choice(["gb", "sat", "intersect"])
+
+    def ideal():
+        return ", ".join(_random_poly_text(rng, field, names) for _ in range(rng.randint(2, 3)))
+
+    text = f"field {field}; ring [{', '.join(names)}]; ideal I = {ideal()}; "
+    if command == "gb":
+        text += "gb I;"
+    elif command == "sat":
+        text += f"sat I, {_random_poly_text(rng, field, names)};"
+    else:
+        text += f"ideal J = {ideal()}; intersect I, J;"
+    return order, text
+
+
+# sha256 of the JSON reports of seeded scripts with a nontrivial result,
+# computed with the Gebauer-Moller kernel that the signature-based one
+# replaced.
+RANDOM_SCRIPT_HASHES = {
+    3: "c726e03b04f77200088eed8e9aceec853998c4401adbe4f4fa094e2c2976d386",
+    4: "58cd5d9be21403ae388fd48aec16977fb0dfa8aa99b2bee8aa105f80e51cd368",
+    5: "67361fa19efbf73521624be6a72f663602597edf60e94e7324d42a3af9ae3817",
+    6: "f25af96a31cf1105669325639b0d0b597ee4459fd3109bba4b668488e438dbff",
+    7: "ac96487f267205421a57c84910ee4dec9453fcf15b59e699ed6a98038d3c70d4",
+    8: "eacc5aca1bd24ecba9de6d04b49ceca961e724f80ed9165f31ac5ddf2a2fb720",
+    9: "b41fa72023895ba649d0fe20f8e08ea48fc6d3402c2d2628ee6df7f73a2e99a5",
+    10: "31d999130919563f0259a6b97875b147f03fc7d96c0ba079aecb25fe48ff68e7",
+    11: "4d2715e936d0a8147324ab21853a8da42b61c97aab7207008dcf410426f5159c",
+    12: "76a15ff84a3ef01ee46708beb58d4894ef33bac6e4046e27125669c9a9d128e7",
+    13: "d65a02c53ce20a9a4db5a356e9007d9034ce0f2f9274dd5f1e9c73d74c7bed81",
+    14: "bcf1e1dc6d36b2ad89f2edabb1cefb076da454a8d19dc20ff3673c26752cb1ac",
+    19: "bb38d113b94da2d2facfa6d7cc53f61a8a69d82a2cbb73f0c02cbf5a6834cf44",
+    20: "d0d5e4a188841cde17a5956c5cdeb97981229b8175dc00622251b5f9223c62b8",
+    21: "5bf1495e9dd3ebca83baa9030789671ea3f25a76cffe818319c27b59a33efc7d",
+    23: "fd2fe882ed80def70f0826e9d99e300c2ccbf5cd6b5e694652b64881277363c7",
+    24: "7399ce571c6cd120e0952d514504dbd320981083a0aca8b124cd68159e260bcf",
+    25: "5280bbe9188866cb8c2bf2daeb410e28deda75ccd7a6d62f3db0a9aa883c8995",
+    27: "63028efbfcffe3abf282efcc47bdced6f8639f78e64c4e76f68e7f2f5a8384f9",
+    28: "6bca4aebf3d79fb08842bca0012c275b30689dca71ddb4fa791df95551a79020",
+    30: "1c1953423906c1b69a49126f5e668cb1fa77fb6fee7e9bd2af8c3eb32638588d",
+    31: "eb9168fe098e2096eb43609da38187a1d0bbf596a0238300d88873296ebb0148",
+    32: "59da8ff3616b81cc0f01e0ece1f82c773023a2649750b5f47d87b990a950811a",
+    33: "9e0d5e37732cc66f764fd8cfd903883754bdb73e3e70cb2758c6af91e72479d2",
+    34: "d2772523a46754f91eecee8b707f49daa8c3555f960e9cb1dd3b7a4aa4912e2a",
+    36: "40c4f5fdf3b9f89d1c87e03a8156893f256155b97bcbef34f0d12db8c3571676",
+    37: "4b05fe225aed078fa4d76b65842efc13871f5c718598fb51331109831b6570a6",
+    40: "ff33c0216661a4dcb803e6ff4ce771904fd8ca939da0ec5ac0a438b1eceaeece",
+    41: "4d8e61e90ab7e72af9306dc3a00ccf9154e72088614d672e5a19a50522e220ba",
+    42: "916af76ef1ee137fc6afede646cf19aaef2f7f8060c39a5c24de053925c4d7c8",
+}
+
+
+@pytest.mark.parametrize("seed", RANDOM_SCRIPT_HASHES)
+def test_random_scripts_pinned(seed):
+    order, text = _random_script(random.Random(f"gb-{seed}"))
+    report = run(parse_script(text, order))
+    digest = hashlib.sha256(json.dumps(report, indent=2).encode()).hexdigest()
+    assert digest == RANDOM_SCRIPT_HASHES[seed], text
+
+
+def test_cyclic6_reductions_to_zero(monkeypatch):
+    # the Gebauer-Moller kernel reduced 462 S-pairs of cyclic-6 to zero
+    zeros = []
+    reduce = groebner._GB.reduce
+
+    def counted(self, terms, s, i):
+        out = reduce(self, terms, s, i)
+        zeros.append(not out)
+        return out
+
+    monkeypatch.setattr(groebner._GB, "reduce", counted)
+    names = "abcdef"
+    ring = PolyRing(GF(32003), list(names))
+    gens = [
+        " + ".join("*".join(names[(i + j) % 6] for j in range(k)) for i in range(6))
+        for k in range(1, 6)
+    ] + ["a*b*c*d*e*f - 1"]
+    assert len(ideal(ring, *gens).groebner_basis) == 45
+    assert sum(zeros) <= 231
