@@ -55,6 +55,8 @@ class DualFunctional:
 
     def shift(self, i):
         """Down-shift sigma_i: (sigma_i L)(f) = L(x_i * f)."""
+        if not 0 <= i < self.ring.nvars:
+            raise IndexError(f"variable index {i} out of range")
         out = {}
         for m, c in self.coords:
             if m[i] > 0:

@@ -14,15 +14,25 @@ sig(h) divides it (see (ii)).  A popped signature is skipped when (i) a
 recorded syzygy signature of its index divides it: one per reduction to
 zero and the Koszul signature max(lt(g) * sig(h), lt(h) * sig(g)) of
 each pair; (ii) an element newer than the pair's signature side has a
-signature dividing it; (iii) it was computed already.  Reduction is
-regular: g reduces a term t only when sig(g) * t / lt(g) is smaller than
-the signature reduced, and the g that makes it smallest is tried (on
-seeded rational-function scripts this beat the smallest leading term).
-Every nonzero remainder joins the basis, even a singular top-reducible
-one (an element has its leading term and signature): (ii) counts on the
-newest element of each signature, and dropping them skipped pairs
-nothing covered and missed basis elements.  At the end the minimal
-leading terms are kept and tail-reduced.
+signature dividing it; (iii) it was computed already.  A pair's element
+is u * h for its signature side h.  Every nonzero remainder joins the
+basis, even a singular top-reducible one (an element has its leading
+term and signature): (ii) counts on the newest element of each
+signature, and dropping them skipped pairs nothing covered and missed
+basis elements.  At the end the minimal leading terms are kept and
+tail-reduced.
+
+One loop, ``_reduce``, does every reduction.  A reducer (lt, d, j, tail)
+is a monic element with signature (lt + d, j); it reduces a term t only
+when sig(g) * t / lt(g) = (t + d, j) is below a bound (s, i), and the one
+that makes it smallest is tried.  The run bounds by the signature
+reduced, so reduction is regular and the first step of u * h cancels its
+lead as the pair's other side would; its reducers are sorted by
+sig(g) / lt(g), which on seeded rational-function scripts beat the
+smallest leading term.  The reduced basis is kept as records
+(lt, 0, 0, tail) ascending by leading monomial; tail reduction, normal
+forms and membership use them under the default bound, an infinite
+signature that admits every reducer.
 
 Inside the kernel a monomial is one int.  Its low n*W bits are n exponent
 fields of W bits, variable i at bit i*W, and the top bit of each field is
@@ -45,8 +55,8 @@ puts it in its place among the others.  The kernel checks the guard bits
 of every term before it reduces or keeps it and of every signature it
 compares, and when one is set it redoes the whole computation at twice
 the width; a Koszul signature that overflows is only left unrecorded.  So
-no result depends on the width, and no input is refused for its
-exponents.
+no result depends on the width, and no input is refused for the size
+of its exponents.
 
 The kernel computes on raw coefficients through its field's domain
 operations (see ``fields``).  Only ``Ideal`` converts: it packs generators
@@ -192,9 +202,9 @@ class _Packing:
         return {self.unpack(m): from_raw(c) for m, c in pairs}
 
     def record(self, terms, to_raw):
-        """(leading monomial, tail) of a term map, the tail biggest first."""
+        """The (lt, 0, 0, tail) reducer of a term map, the tail biggest first."""
         packed = sorted(self.pack_terms(terms, to_raw).items())
-        return packed[0][0], tuple(packed[1:])
+        return packed[0][0], 0, 0, tuple(packed[1:])
 
     def lcm(self, a, b):
         """lcm(a, b), packed."""
@@ -215,13 +225,14 @@ def _widening(pk, work):
             pk = _Packing(pk.order, 2 * pk.width)
 
 
-def _reduce(terms, basis, guard, submul):
+def _reduce(terms, reducers, guard, submul, s=float("-inf"), i=0):
     """Yield the remainder terms of (packed monomial, raw coefficient) pairs
-    against (leading monomial, tail) records sorted ascending by leading
-    monomial, so the first divisor found has the smallest one.  The smallest
-    int, the biggest monomial, pops first and a step adds only smaller
-    terms, so each yielded term is final.  Raises _Overflow when a popped
-    term has a guard bit set."""
+    against (lt, d, j, tail) reducers under the signature bound (s, i) (see
+    the module docstring), sorted so that the first divisor of a term t
+    makes (t + d, j) smallest.  The smallest int, the biggest monomial, pops
+    first and a step adds only smaller terms, so each yielded term is
+    final.  Raises _Overflow when a popped term or a signature multiple
+    has a guard bit set."""
     work = dict(terms)
     heap = list(work)
     heapify(heap)
@@ -232,21 +243,27 @@ def _reduce(terms, basis, guard, submul):
             continue
         if m & guard:
             raise _Overflow
-        for lt, tail in basis:
+        for lt, d, j, tail in reducers:
             if not (m - lt) & guard:
                 break
         else:
+            yield m, c
+            continue
+        v = m + d
+        if v & guard:
+            raise _Overflow
+        if v < s or v == s and j >= i:  # not regular
             yield m, c
             continue
         shift = m - lt
         for tm, tc in tail:
             k = tm + shift
             old = work.get(k)
-            s = submul(old, c, tc)
-            if s:
+            t = submul(old, c, tc)
+            if t:
                 if old is None:
                     heappush(heap, k)
-                work[k] = s
+                work[k] = t
             elif old is not None:
                 del work[k]
 
@@ -259,66 +276,26 @@ class _GB:
     def __init__(self, packing, dom):
         self.pk = packing
         self.dom = dom
-        self.lts = []       # packed leading monomial of each element
-        self.tails = []     # each element's other terms, monic, biggest first
-        self.sigs = []      # each element's signature (s, i)
-        self.reducers = []  # (lt, s - lt, i, tail), smallest sig / lt first
-        self.queue = []     # heap of (-s, i) for e_i, (-s, i, -side, other, lcm) for pairs
+        self.elements = []  # (lt, s - lt, i, monic tail) of each element, signature (s, i)
+        self.reducers = []  # the same records, smallest sig / lt first
+        self.queue = []     # heap of (-s, i) for e_i, (-s, i, -h) for h's side of a pair
         self.syz = defaultdict(list)       # i: recorded syzygy signatures s
         self.by_index = defaultdict(list)  # i: (element, s) in the order added
 
     def reduce(self, terms, s, i):
-        """The regular remainder of terms, biggest first, for signature
-        (s, i): as in _reduce, but g reduces a term t only when
-        sig(g) * t / lt(g) is smaller than (s, i), and the divisor chosen
-        is the one that makes it smallest."""
-        guard, submul = self.pk.guard, self.dom.submul
-        work = dict(terms)
-        heap = list(work)
-        heapify(heap)
-        out = []
-        while heap:
-            m = heappop(heap)
-            c = work.pop(m, None)
-            if c is None:  # cancelled after it entered the heap
-                continue
-            if m & guard:
-                raise _Overflow
-            for lt, d, j, tail in self.reducers:
-                if not (m - lt) & guard:
-                    break
-            else:
-                out.append((m, c))
-                continue
-            v = m + d  # the lead of sig(g) * m / lt(g), smallest over the divisors
-            if v & guard:
-                raise _Overflow
-            if v < s or v == s and j >= i:  # not regular, so no divisor is
-                out.append((m, c))
-                continue
-            shift = m - lt
-            for tm, tc in tail:
-                k = tm + shift
-                old = work.get(k)
-                t = submul(old, c, tc)
-                if t:
-                    if old is None:
-                        heappush(heap, k)
-                    work[k] = t
-                elif old is not None:
-                    del work[k]
-        return out
+        """The regular remainder of terms, biggest first, for signature (s, i)."""
+        return list(_reduce(terms, self.reducers, self.pk.guard, self.dom.submul, s, i))
 
     def add(self, red, s, i):
         """Append a regular remainder with signature (s, i), queue its pairs
         with every older element and record their Koszul signatures."""
-        pk, lts, sigs = self.pk, self.lts, self.sigs
-        guard = pk.guard
-        h = len(lts)
+        pk, guard = self.pk, self.pk.guard
+        h = len(self.elements)
         lt_h, lc = red[0]
         mul, inv = self.dom.mul, self.dom.inv(lc)
         tail = tuple((m, mul(c, inv)) for m, c in red[1:])
-        for g, (lt_g, (s_g, i_g)) in enumerate(zip(lts, sigs)):
+        for g, (lt_g, d_g, i_g, _) in enumerate(self.elements):
+            s_g = lt_g + d_g
             ka, kb = s + lt_g, s_g + lt_h  # lt(g) * sig(h), lt(h) * sig(g)
             if not (ka | kb) & guard and (ka, i) != (kb, i_g):
                 if (-ka, i) > (-kb, i_g):
@@ -332,14 +309,13 @@ class _GB:
             if (a | b) & guard:
                 raise _Overflow
             if (-a, i) > (-b, i_g):
-                heappush(self.queue, (-a, i, -h, g, l))
+                heappush(self.queue, (-a, i, -h))
             elif (a, i) != (b, i_g) and (i != i_g or (b - s) & guard):  # else h rewrites it
-                heappush(self.queue, (-b, i_g, -g, h, l))
-        lts.append(lt_h)
-        self.tails.append(tail)
-        sigs.append((s, i))
+                heappush(self.queue, (-b, i_g, -g))
+        record = lt_h, s - lt_h, i, tail
+        self.elements.append(record)
         self.by_index[i].append((h, s))
-        insort(self.reducers, (lt_h, s - lt_h, i, tail), key=lambda r: (-r[1], r[2]))
+        insort(self.reducers, record, key=lambda r: (-r[1], r[2]))
 
     def syzygy(self, s, i):
         """Record the syzygy signature (s, i) unless a recorded one divides it."""
@@ -347,39 +323,29 @@ class _GB:
         if all((s - z) & guard for z in zs):
             zs.append(s)
 
-    def spoly(self, i, j, l):
-        # the monic leading terms cancel, so only the tails are shifted
-        shift = l - self.lts[i]
-        a = {m + shift: c for m, c in self.tails[i]}
-        shift = l - self.lts[j]
-        submul, one = self.dom.submul, self.dom.to_raw(self.dom.one())
-        for m, c in self.tails[j]:
-            k = m + shift
-            s = submul(a.pop(k, None), one, c)
-            if s:
-                a[k] = s
-        return a
-
     def run(self, gen_terms):
-        """Reduced basis as packed (leading monomial, tail) records sorted
-        ascending by leading monomial."""
+        """Reduced basis as packed (lt, 0, 0, tail) records sorted ascending
+        by leading monomial."""
         guard, queue = self.pk.guard, self.queue
+        one = self.dom.to_raw(self.dom.one())
         queue.extend((-min(t), i) for i, t in enumerate(gen_terms))
         heapify(queue)
         last = None
         while queue:
-            neg_s, i, *pair = heappop(queue)
+            neg_s, i, *side = heappop(queue)
             if (neg_s, i) == last:  # (iii): one entry per signature
                 continue
             last = neg_s, i
             s = -neg_s
             if any(not (s - z) & guard for z in self.syz[i]):  # (i)
                 continue
-            if pair:
-                side, other, l = pair
-                if any(e > -side and not (s - t) & guard for e, t in self.by_index[i]):  # (ii)
+            if side:
+                h = -side[0]
+                if any(e > h and not (s - t) & guard for e, t in self.by_index[i]):  # (ii)
                     continue
-                terms = self.spoly(-side, other, l)
+                lt, d, _, tail = self.elements[h]
+                u = s - lt - d  # u * sig(h) = (s, i)
+                terms = [(lt + u, one)] + [(m + u, c) for m, c in tail]
             else:
                 terms = gen_terms[i]
             red = self.reduce(terms, s, i)
@@ -390,12 +356,12 @@ class _GB:
         # keep the minimal leading terms, then tail-reduce them
         kept = []
         for lt, _, _, tail in sorted(self.reducers, key=lambda r: -r[0]):
-            if all((lt - k) & guard for k, _ in kept):
-                kept.append((lt, tail))
+            if all((lt - k[0]) & guard for k in kept):
+                kept.append((lt, 0, 0, tail))
         submul = self.dom.submul
         return [
-            (lt, tuple(_reduce(tail, kept[:g] + kept[g + 1:], guard, submul)))
-            for g, (lt, tail) in enumerate(kept)
+            (lt, 0, 0, tuple(_reduce(tail, kept[:g] + kept[g + 1:], guard, submul)))
+            for g, (lt, _, _, tail) in enumerate(kept)
         ]
 
 
@@ -434,12 +400,12 @@ class Ideal:
             one = dom.to_raw(dom.one())
             self._gb = tuple(
                 Polynomial(self.ring, pk.unpack_terms(((lt, one),) + tail, dom.from_raw))
-                for lt, tail in recs
+                for lt, _, _, tail in recs
             )
         return self._gb
 
     def _packed_basis(self):
-        """(packing, ascending packed (leading monomial, tail) records)."""
+        """(packing, ascending packed (lt, 0, 0, tail) records)."""
         self.groebner_basis  # builds both on first use
         return self._records
 
@@ -478,7 +444,7 @@ class Ideal:
 
     def leading_monomials(self):
         pk, records = self._packed_basis()
-        return [pk.unpack(lt) for lt, _ in records]
+        return [pk.unpack(r[0]) for r in records]
 
     def standard_monomials(self):
         """Monomials outside the leading-term ideal, grevlex ascending;
@@ -570,9 +536,9 @@ def ideal_power(I, n):
     return Ideal(I.ring, _dedupe([g for _, g in level]), I.order)
 
 
-def _extended_ring(ring, aux_name="_w"):
+def _extended_ring(ring):
     """Ring with one auxiliary variable in front, plus both transfer maps."""
-    name = ring.field.fresh_name(aux_name, ring.variables)
+    name = ring.field.fresh_name("_w", ring.variables)
     ext = PolyRing(ring.field, (name,) + ring.variables)
 
     def up(f):

@@ -111,6 +111,8 @@ class PolyRing:
         return Polynomial(self, {(0,) * self.nvars: c})
 
     def var(self, i):
+        if not 0 <= i < self.nvars:
+            raise IndexError(f"variable index {i} out of range")
         exps = [0] * self.nvars
         exps[i] = 1
         return Polynomial(self, {tuple(exps): self.field.one()})
@@ -119,13 +121,7 @@ class PolyRing:
         return [self.var(i) for i in range(self.nvars)]
 
     def monomial(self, exps, coeff=None):
-        exps = tuple(exps)
-        if len(exps) != self.nvars:
-            raise ArityMismatchError(f"expected {self.nvars} exponents, got {len(exps)}")
-        c = self.field.one() if coeff is None else self.field.coerce(coeff)
-        if not c:
-            return Polynomial(self, {})
-        return Polynomial(self, {exps: c})
+        return self.poly({tuple(exps): self.field.one() if coeff is None else coeff})
 
     def poly(self, terms):
         """Polynomial from a {exponent tuple: coefficient} map."""
@@ -134,6 +130,8 @@ class PolyRing:
             exps = tuple(exps)
             if len(exps) != self.nvars:
                 raise ArityMismatchError(f"expected {self.nvars} exponents, got {len(exps)}")
+            if not all(type(e) is int and e >= 0 for e in exps):
+                raise ValueError(f"exponents must be nonnegative ints, got {exps}")
             c = self.field.coerce(c)
             if c:
                 clean[exps] = c

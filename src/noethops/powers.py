@@ -131,6 +131,8 @@ def diff_power_classical_graded(I, n, degree_bound):
     degree up to the bound, by exact linear algebra on coefficients."""
     if n < 1:
         raise ValueError("differential power requires n >= 1")
+    if degree_bound < 0:
+        raise ValueError("degree bound must be >= 0")
     if I.ring.field.characteristic != 0:
         raise UnsupportedCharacteristicError(
             "classical differential powers are only computed over "
@@ -325,6 +327,8 @@ def chain_check(p, n, agreement_bound=None):
     exactly and strict inclusions with separating witnesses."""
     if n < 1:
         raise ValueError("chain check requires n >= 1")
+    if agreement_bound is not None and agreement_bound < 0:
+        raise ValueError("agreement bound must be >= 0")
     report = ChainReport(n=n, kind=p.kind)
     ring = p.ring
     char = ring.field.characteristic

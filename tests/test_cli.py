@@ -390,6 +390,21 @@ def test_bound_zero_is_honoured():
         assert [v["note"] for v in agree] == ["all monomials of degree <= 0"]
 
 
+def test_negative_bound_is_an_input_error(tmp_path, capsys):
+    # no monomial has degree <= -1, so agreement would hold vacuously
+    path = tmp_path / "negative.ca"
+    path.write_text(
+        "field QQ; ring [x, y]; prime m = x, y : point (0, 0); check-zn m 2; "
+        "diffpow --classical m 2 as C; assert-equal C, m;"
+    )
+    code = main(["run", str(path), "--json", "--bound", "-1"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert "Traceback" not in captured.err
+    errors = [entry["error"] for entry in json.loads(captured.out)["commands"]]
+    assert errors[:2] == ["agreement bound must be >= 0", "degree bound must be >= 0"]
+
+
 # Every malformed statement below, after MALFORMED_HEAD, raises this exact
 # exception with this exact message.  The order of the checks is part of
 # the contract: a missing ';' is reported before an undeclared name, and

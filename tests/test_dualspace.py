@@ -287,6 +287,15 @@ def test_down_shift_closure():
                 assert span.contains(vec)
 
 
+# sigma_{-1} used to shift a made-up exponent onto the monomial, and
+# sigma_nvars died with "tuple index out of range".
+@pytest.mark.parametrize("i", [-1, R.nvars])
+def test_down_shift_refuses_a_variable_index_out_of_range(i):
+    lam = DualFunctional.from_dict(R, {(1, 1): QQ.one()})
+    with pytest.raises(IndexError, match=f"^variable index {i} out of range$"):
+        lam.shift(i)
+
+
 def test_mpower_containment():
     for gens in [("x^2", "y"), ("x^2", "x*y", "y^2"), ("x^3", "y")]:
         I = ideal(R, *gens)

@@ -66,6 +66,17 @@ def test_partial_derivatives():
         x.diff(5)
 
 
+# Exponents are checked where they enter a ring: a negative one sent the
+# Groebner kernel widening its packing until memory ran out, and a float
+# died there in a bit operation.
+@pytest.mark.parametrize("exps", [(-1, 0), (0, -3), (1.5, 0), (True, 0), ("1", 0)], ids=str)
+def test_ring_refuses_a_malformed_exponent(exps):
+    with pytest.raises(ValueError, match="^exponents must be nonnegative ints"):
+        R.monomial(exps)
+    with pytest.raises(ValueError, match="^exponents must be nonnegative ints"):
+        R.poly({exps: 1})
+
+
 BAD_BETAS = [
     pytest.param(beta, error, id=str(beta))
     for beta, error in [

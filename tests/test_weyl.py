@@ -49,11 +49,13 @@ def test_partial_refuses_a_negative_power(power):
 
 
 # A negative index must not wrap round to another variable, and nvars must
-# not reach the tuple arithmetic: both refuse as Polynomial.diff does.
+# not reach the tuple arithmetic: all refuse as Polynomial.diff does.
 @pytest.mark.parametrize("i", [-1, -2, R.nvars])
 def test_partial_refuses_a_variable_index_out_of_range(i):
     with pytest.raises(IndexError, match=f"^variable index {i} out of range$"):
         DiffOp.partial(R, i)
+    with pytest.raises(IndexError, match=f"^variable index {i} out of range$"):
+        R.var(i)
     with pytest.raises(IndexError, match=f"^variable index {i} out of range$"):
         x.diff(i)
 
