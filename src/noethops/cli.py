@@ -578,10 +578,9 @@ def run(script, only=None, default_bound=None):
     }
 
 
-def _print_report(report, as_json, stream=None):
-    stream = stream or sys.stdout
+def _print_report(report, as_json):
     if as_json:
-        print(json.dumps(report, indent=2), file=stream)
+        print(json.dumps(report, indent=2))
         return
     for entry in report["commands"]:
         kind = entry["command"]
@@ -589,12 +588,11 @@ def _print_report(report, as_json, stream=None):
         detail = {
             k: v for k, v in entry.items() if k not in ("command", "status")
         }
-        print(f"{kind} [{status}] {json.dumps(detail)}", file=stream)
+        print(f"{kind} [{status}] {json.dumps(detail)}")
     status = report["status"]
     print(
         f"done: {status['errors']} errors, {status['unsupported']} unsupported, "
-        f"{status['failed_assertions']} failed assertions",
-        file=stream,
+        f"{status['failed_assertions']} failed assertions"
     )
 
 

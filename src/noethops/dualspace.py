@@ -91,8 +91,10 @@ def truncated_dual(I, point, k):
     elimination pivots on the smallest monomial first and the kernel
     basis is unique and deterministic.
     """
+    if k < 0:
+        raise ValueError("truncation order must be >= 0")
     ring = I.ring
-    point = tuple(ring.field.coerce(c) for c in point)
+    point = ring.point(point)
     columns = monomials_up_to(ring.nvars, k)
     index = {m: i for i, m in enumerate(columns)}
     rows = []

@@ -120,8 +120,17 @@ class PolyRing:
     def gens(self):
         return [self.var(i) for i in range(self.nvars)]
 
-    def monomial(self, exps, coeff=None):
-        return self.poly({tuple(exps): self.field.one() if coeff is None else coeff})
+    def monomial(self, exps):
+        return self.poly({tuple(exps): self.field.one()})
+
+    def point(self, coords):
+        """The coordinates coerced into the field, one per variable."""
+        point = tuple(map(self.field.coerce, coords))
+        if len(point) != self.nvars:
+            raise ArityMismatchError(
+                f"point has {len(point)} coordinates, ring has {self.nvars} variables"
+            )
+        return point
 
     def poly(self, terms):
         """Polynomial from a {exponent tuple: coefficient} map."""
@@ -278,12 +287,8 @@ class Polynomial(RingValue):
 
     def translate(self, coords):
         """f(x + alpha): shift the point alpha to the origin."""
-        coords = [self.ring.field.coerce(c) for c in coords]
-        if len(coords) != self.ring.nvars:
-            raise ArityMismatchError(
-                f"point has {len(coords)} coordinates, ring has {self.ring.nvars} variables"
-            )
         ring = self.ring
+        coords = ring.point(coords)
         shifted = [ring.var(i) + ring.const(a) for i, a in enumerate(coords)]
         out = ring.zero()
         for m, c in self.terms.items():

@@ -50,9 +50,7 @@ class PrimeData:
 
     @classmethod
     def rational_point(cls, ring, point, ideal=None):
-        point = tuple(ring.field.coerce(c) for c in point)
-        if len(point) != ring.nvars:
-            raise ArityMismatchError("point arity differs from ring arity")
+        point = ring.point(point)
         gens = [ring.var(i) - ring.const(a) for i, a in enumerate(point)]
         maximal = Ideal(ring, gens, None if ideal is None else ideal.order)
         if ideal is not None and not ideal_equal(ideal, maximal):
@@ -166,7 +164,7 @@ def diff_power_new_point(J, point, n):
     if n < 1:
         raise ValueError("differential power requires n >= 1")
     ring = J.ring
-    point = tuple(ring.field.coerce(c) for c in point)
+    point = ring.point(point)
     for g in J.generators:
         if g.evaluate(point):
             raise PointNotOnVarietyError(
@@ -300,25 +298,15 @@ class ChainReport:
 
 def _inclusion_verdict(report, lhs_name, small, rhs_name, big):
     """Record small subset-of big (by generator membership), upgraded to
-    equality or refined to strictness with an explicit witness."""
+    equality or refined to strictness with a generator of big outside
+    small as witness; a strict subset always has one."""
     same = small is big  # one ideal in both slots: nothing to reduce
     subset = same or all(big.contains(g) for g in small.generators)
     if same or subset and ideal_equal(small, big):
         report.verdicts.append(Verdict(lhs_name, VERDICT_EQUAL, rhs_name, True))
         return
-    witness = None
-    for g in big.generators:
-        if not small.contains(g):
-            witness = g
-            break
-    if witness is None:
-        for g in big.groebner_basis:
-            if not small.contains(g):
-                witness = g
-                break
-    report.verdicts.append(
-        Verdict(lhs_name, VERDICT_STRICT, rhs_name, subset and witness is not None, witness)
-    )
+    witness = next((g for g in big.generators if not small.contains(g)), None)
+    report.verdicts.append(Verdict(lhs_name, VERDICT_STRICT, rhs_name, subset, witness))
 
 
 def chain_check(p, n, agreement_bound=None):
@@ -344,11 +332,8 @@ def chain_check(p, n, agreement_bound=None):
         )
     )
 
-    try:
+    if p.kind != WITNESS:  # a witness prime has no solution-set power to compare
         j = _solution_set_exponent(p, n)
-    except UnsupportedCharacteristicError:
-        j = None  # a witness prime has no solution-set power to compare
-    if j is not None:
         report.new_diff = pn if j == n else ideal_power(p.ideal, j)
         _inclusion_verdict(report, "symbolic", report.symbolic, "new_diff", report.new_diff)
 

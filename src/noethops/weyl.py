@@ -8,8 +8,9 @@ Leibniz rule keeps inside normal form:
 
     d^beta . r = sum over gamma <= beta of C(beta, gamma) d^gamma(r) d^(beta-gamma)
 
-Evaluation targets for solution-set membership: the ring itself, a
-quotient by an ideal (via normal forms), or a point (evaluate there).
+A solution-set target is the vanishing test it stands for: into the
+ring, a value vanishes when it is the zero polynomial; modulo an ideal,
+when the ideal contains it; at a point, when it evaluates to zero there.
 """
 
 from itertools import product as _cartesian
@@ -117,14 +118,12 @@ class DiffOp:
         """The exact action sum c * x^alpha * d^beta (f)."""
         if f.ring != self.ring:
             raise IncompatibleFieldError("operator and polynomial from different rings")
-        ring = self.ring
-        out = ring.zero()
-        for (alpha, beta), c in self.terms.items():
-            g = f.diff_multi(beta)
-            if g.is_zero():
-                continue
-            out = out + Polynomial(ring, {monomial_mul(m, alpha): c * gc for m, gc in g.terms.items()})
-        return out
+        out = add_into({}, (
+            (monomial_mul(m, alpha), c * gc)
+            for (alpha, beta), c in self.terms.items()
+            for m, gc in f.diff_multi(beta).terms.items()
+        ))
+        return Polynomial(self.ring, out)
 
     def bracket(self, r):
         """[delta, r] = delta . r - r . delta, expanded by Leibniz.
@@ -191,53 +190,33 @@ class DiffOp:
 
 
 class SolTarget:
-    """Where operator values are tested for vanishing: the ring itself,
-    the quotient modulo an ideal, or a point of the affine space."""
+    """A vanishing test for operator values, with the label its repr
+    shows: built by into_ring, modulo(ideal) or at_point(point)."""
 
-    INTO_RING = "into-ring"
-    MODULO = "modulo-ideal"
-    AT_POINT = "at-point"
-
-    def __init__(self, mode, ideal=None, point=None):
-        self.mode = mode
-        self.ideal = ideal
-        self.point = tuple(point) if point is not None else None
+    def __init__(self, vanishes, label):
+        self.vanishes = vanishes
+        self.label = label
 
     @classmethod
     def into_ring(cls):
-        return cls(cls.INTO_RING)
+        return cls(Polynomial.is_zero, "into ring")
 
     @classmethod
     def modulo(cls, ideal):
-        return cls(cls.MODULO, ideal=ideal)
+        return cls(ideal.contains, f"modulo {ideal!r}")
 
     @classmethod
     def at_point(cls, point):
-        return cls(cls.AT_POINT, point=point)
-
-    def vanishes(self, g):
-        """Does the polynomial g map to zero in the target?"""
-        if self.mode == self.INTO_RING:
-            return g.is_zero()
-        if self.mode == self.MODULO:
-            return self.ideal.contains(g)
-        value = g.evaluate(self.point)
-        return not value
+        point = tuple(point)
+        return cls(lambda g: not g.evaluate(point), f"at {point}")
 
     def __repr__(self):
-        if self.mode == self.MODULO:
-            return f"SolTarget(modulo {self.ideal!r})"
-        if self.mode == self.AT_POINT:
-            return f"SolTarget(at {self.point})"
-        return "SolTarget(into ring)"
+        return f"SolTarget({self.label})"
 
 
 def sol_membership(ops, target, f):
     """True when every operator sends f to zero in the target."""
-    for delta in ops:
-        if not target.vanishes(delta.apply(f)):
-            return False
-    return True
+    return all(target.vanishes(delta.apply(f)) for delta in ops)
 
 
 class _OpParser(_PolyParser):

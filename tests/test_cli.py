@@ -183,6 +183,17 @@ def test_main_run(tmp_path, capsys):
     assert data["commands"][0]["command"] == "noeth"
 
 
+def test_main_run_text_report(tmp_path, capsys):
+    path = tmp_path / "script.ca"
+    path.write_text("field QQ; ring [x,y]; ideal I = x^2, y; gb I; nf x*y + x^2, I;")
+    assert main(["run", str(path)]) == 0
+    assert capsys.readouterr().out.splitlines() == [
+        'gb [ok] {"ideal": "I", "basis": ["y", "x^2"]}',
+        'nf [ok] {"poly": "x^2 + x*y", "ideal": "I", "normal_form": "0"}',
+        "done: 0 errors, 0 unsupported, 0 failed assertions",
+    ]
+
+
 def test_main_parse_error(tmp_path, capsys):
     path = tmp_path / "bad.ca"
     path.write_text("field QQ; ring [x]; gb nope;")

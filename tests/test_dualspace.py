@@ -13,6 +13,7 @@ from noethops.dualspace import (
     truncated_dual,
 )
 from noethops.errors import (
+    ArityMismatchError,
     NotZeroDimensionalError,
     UnsupportedCharacteristicError,
 )
@@ -39,6 +40,15 @@ def as_dicts(basis):
 def test_truncated_dual_maximal_ideal():
     D = truncated_dual(ideal(R, "x", "y"), ORIGIN, 0)
     assert as_dicts(D) == [E0]
+
+
+# A 1-coordinate point in [x, y] used to give a 3-dimensional basis, and a
+# negative order an empty one.
+def test_truncated_dual_refuses_a_bad_point_or_order():
+    with pytest.raises(ArityMismatchError, match="^point has 1 coordinates, ring has 2 variables$"):
+        truncated_dual(Ideal(R, []), (0,), 1)
+    with pytest.raises(ValueError, match="^truncation order must be >= 0$"):
+        truncated_dual(ideal(R, "x", "y"), ORIGIN, -1)
 
 
 def test_truncated_dual_examples_match_brute_force_kernel():

@@ -479,6 +479,18 @@ def test_exponents_outgrowing_the_packing_width():
     assert J.contains(R.parse("y^40000*x - z*x"))
 
 
+@pytest.mark.parametrize("field", [QQ, GF(7)], ids=["QQ", "GF(7)"])
+def test_reducing_a_polynomial_wider_than_the_basis_packing(field):
+    # x^70000 needs 32-bit fields where the basis packs into 16: the basis
+    # is repacked at 32 bits and kept for later, narrower reductions
+    R = PolyRing(field, ["x", "y"])
+    I = ideal(R, "x - 1", "y^2")
+    assert I.contains(R.parse("x^70000*y - y"))
+    assert I.normal_form(R.parse("x^70000 + y^3")) == R.one()
+    assert I._packed_basis()[0].width == 32
+    assert I.normal_form(R.parse("x^3 + y")) == R.parse("y + 1")
+
+
 @pytest.mark.parametrize("field", [QQ, GF(32003), RatFuncField(GF(3), "t")],
                          ids=["QQ", "GF(32003)", "F3(t)"])
 @pytest.mark.parametrize("kind", ["lex", "grevlex", "elimination"])

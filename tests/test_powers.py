@@ -5,7 +5,11 @@ from math import isqrt
 
 import pytest
 
-from noethops.errors import PointNotOnVarietyError, UnsupportedCharacteristicError
+from noethops.errors import (
+    ArityMismatchError,
+    PointNotOnVarietyError,
+    UnsupportedCharacteristicError,
+)
 from noethops.fields import GF, QQ, AlgExtField, RatFuncField, UniPoly
 from noethops import groebner
 from noethops.groebner import Ideal, ideal, ideal_equal, ideal_power, saturate
@@ -123,6 +127,17 @@ def test_new_point_requires_point_on_variety():
     J = ideal(R3, "x^3 + y^3 + z^3 - 1")
     with pytest.raises(PointNotOnVarietyError):
         diff_power_new_point(J, origin(R3), 2)
+
+
+# A point of the wrong arity used to give (x^2) for (0,) when no generator
+# was evaluated, and a bare IndexError for (0, 0, 0).
+@pytest.mark.parametrize("point", [(0,), (0, 0, 0)])
+def test_points_of_the_wrong_arity_are_refused(point):
+    text = f"point has {len(point)} coordinates, ring has 2 variables"
+    with pytest.raises(ArityMismatchError, match=f"^{text}$"):
+        diff_power_new_point(Ideal(R2, []), point, 2)
+    with pytest.raises(ArityMismatchError, match=f"^{text}$"):
+        PrimeData.rational_point(R2, point)
 
 
 @pytest.mark.parametrize("p", [2, 3, 5])
