@@ -42,8 +42,8 @@ def test_truncated_dual_maximal_ideal():
     assert as_dicts(D) == [E0]
 
 
-# A 1-coordinate point in [x, y] used to give a 3-dimensional basis, and a
-# negative order an empty one.
+# Unchecked, a 1-coordinate point in [x, y] gives a 3-dimensional basis, and
+# a negative order an empty one.
 def test_truncated_dual_refuses_a_bad_point_or_order():
     with pytest.raises(ArityMismatchError, match="^point has 1 coordinates, ring has 2 variables$"):
         truncated_dual(Ideal(R, []), (0,), 1)

@@ -129,8 +129,8 @@ def test_new_point_requires_point_on_variety():
         diff_power_new_point(J, origin(R3), 2)
 
 
-# A point of the wrong arity used to give (x^2) for (0,) when no generator
-# was evaluated, and a bare IndexError for (0, 0, 0).
+# Unchecked, (0,) gives (x^2) when no generator is evaluated, and (0, 0, 0)
+# a bare IndexError.
 @pytest.mark.parametrize("point", [(0,), (0, 0, 0)])
 def test_points_of_the_wrong_arity_are_refused(point):
     text = f"point has {len(point)} coordinates, ring has 2 variables"
