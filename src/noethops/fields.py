@@ -505,12 +505,16 @@ class UniPoly(RingValue):
         return UniPoly.const(self.field, self.field.one())
 
     def __divmod__(self, other):
+        """(q, r), self = q*other + r, deg r < deg other.  By a monic divisor a
+        quotient term is the remainder's lead itself; a step touches only the
+        divisor's nonzero coefficients below its lead.  No value changes."""
         other = self._lift(other)
         if other is None:
             return NotImplemented
         if other.is_zero():
             raise ZeroDivisionError("polynomial division by zero")
-        lead_inv = invert(other.lead)
+        lead_inv = None if other.lead == self.field.one() else invert(other.lead)
+        below = [(i, c) for i, c in enumerate(other.coeffs[:-1]) if c]
         rem = list(self.coeffs)
         quo = [self.field.zero()] * max(len(rem) - len(other.coeffs) + 1, 0)
         d = other.degree
@@ -520,11 +524,10 @@ class UniPoly(RingValue):
             if len(rem) - 1 < d:
                 break
             k = len(rem) - 1 - d
-            q = rem[-1] * lead_inv
+            q = rem.pop() if lead_inv is None else rem.pop() * lead_inv
             quo[k] = q
-            for i, c in enumerate(other.coeffs):
+            for i, c in below:
                 rem[k + i] = rem[k + i] - q * c
-            rem.pop()
         return UniPoly(self.field, quo), UniPoly(self.field, rem)
 
     def __mod__(self, other):
@@ -665,7 +668,8 @@ class RatFuncField(TowerField):
 
 
 class RatFunc(FieldValue):
-    """num/den with monic, gcd-reduced denominator."""
+    """num/den with monic, gcd-reduced denominator.  ``+`` and ``*`` of two
+    values with denominator 1 keep it, as cross-multiplying would."""
 
     __slots__ = ("field", "num", "den")
 
@@ -689,6 +693,8 @@ class RatFunc(FieldValue):
         lifted = self._lift(other)
         if lifted is None:
             return self._above(other, "__add__")
+        if self.den.is_one() and lifted.den.is_one():
+            return RatFunc(self.field, self.num + lifted.num, self.den)
         return RatFunc(
             self.field,
             self.num * lifted.den + lifted.num * self.den,
@@ -704,6 +710,8 @@ class RatFunc(FieldValue):
         lifted = self._lift(other)
         if lifted is None:
             return self._above(other, "__mul__")
+        if self.den.is_one() and lifted.den.is_one():
+            return RatFunc(self.field, self.num * lifted.num, self.den)
         return RatFunc(self.field, self.num * lifted.num, self.den * lifted.den)
 
     __rmul__ = __mul__

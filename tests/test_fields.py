@@ -172,19 +172,34 @@ def test_ratfunc_normalization_idempotent(rng):
         assert uni_gcd(a.num, a.den).degree <= 0
 
 
-@pytest.mark.parametrize("field", [F2T, QT, RatFuncField(F5, "t")], ids=repr)
+@pytest.mark.parametrize("field", [F2T, F5T, QT, RatFuncField(QT, "s")], ids=repr)
 def test_ratfunc_unit_denominator_is_canonical(field, rng):
     # num/1 is stored as given; (num*d)/d reaches the same form through gcd
-    # cancellation and rescaling, and must compare and hash the same
+    # cancellation and rescaling, and must compare and hash the same.  +, -
+    # and * of two num/1 values take the unit-denominator rule and must match
+    # the cross-multiplied construction in the same way
     one = UniPoly.const(field.base, field.base.one())
+
+    def same(got, want):
+        assert got == want
+        assert hash(got) == hash(want)
+        assert (got.num, got.den) == (want.num, want.den)
+
+    def poly():
+        return UniPoly(field.base, [random_elem(field.base, rng) for _ in range(rng.randint(0, 4))])
+
     for _ in range(20):
-        num = UniPoly(field.base, [random_elem(field.base, rng) for _ in range(rng.randint(0, 4))])
+        num = poly()
         d = UniPoly(field.base, [random_nonzero(field.base, rng) for _ in range(rng.randint(1, 3))])
         direct = RatFunc(field, num, one)
-        reduced = RatFunc(field, num * d, d)
-        assert direct == reduced
-        assert hash(direct) == hash(reduced)
-        assert (direct.num, direct.den) == (reduced.num, reduced.den)
+        same(direct, RatFunc(field, num * d, d))
+        other = RatFunc(field, poly(), one)
+        for op, cross in (
+            (operator.add, direct.num * other.den + other.num * direct.den),
+            (operator.sub, direct.num * other.den - other.num * direct.den),
+            (operator.mul, direct.num * other.num),
+        ):
+            same(op(direct, other), RatFunc(field, cross, direct.den * other.den))
 
 
 def test_prime_field_validation():
@@ -203,16 +218,51 @@ def test_field_of():
     assert field_of(F2T.generator()) == F2T
 
 
+def _divisors(field, elem, rng):
+    """Divisors of every shape the division rules tell apart: monic x^p - c
+    with p - 1 zero inner coefficients, x - g for the field's generator,
+    sparse ones with a random (mostly non-monic) lead, and dense ones."""
+    one, zero = field.one(), field.zero()
+
+    def nonzero():
+        while not (c := elem()):
+            pass
+        return c
+
+    g = field.generator() if isinstance(field, (RatFuncField, AlgExtField)) else field.from_int(3)
+    yield UniPoly(field, [-g, one])
+    for p in (2, 3, 5):
+        yield UniPoly(field, [-elem()] + [zero] * (p - 1) + [one])
+    for _ in range(3):
+        inner = [elem() if rng.random() < 0.4 else zero for _ in range(rng.randint(0, 4))]
+        yield UniPoly(field, [nonzero()] + inner + [nonzero()])
+        dense = [nonzero() for _ in range(rng.randint(1, 4))]
+        yield UniPoly(field, dense)
+        yield UniPoly(field, dense + [one])
+
+
 def test_unipoly_divmod_roundtrip(rng):
-    for field in (QQ, F5, F2T):
-        for _ in range(40):
-            a = UniPoly(field, [random_elem(field, rng) for _ in range(rng.randint(0, 5))])
-            b = UniPoly(field, [random_elem(field, rng) for _ in range(rng.randint(1, 4))])
-            if b.is_zero():
-                continue
-            q, r = divmod(a, b)
-            assert q * b + r == a
-            assert r.degree < b.degree
+    t = F2T.generator()
+    ext = AlgExtField(F2T, "u", UniPoly(F2T, [t, F2T.zero(), F2T.one()]))
+    # Random QQ(t)(s) values swell the nested Fraction gcds (one degree-3 by
+    # degree-1 division took 3.8 s), so that tower divides polynomials in s, t
+    qts = RatFuncField(QT, "s")
+    qs, qt = qts.generator(), qts.coerce(QT.generator())
+
+    def small_qts():
+        return rng.randint(-2, 2) + rng.randint(-2, 2) * qt + rng.randint(-2, 2) * qs
+
+    for field, rounds in ((QQ, 4), (F5, 4), (F2T, 3), (ext, 3), (qts, 1)):
+        if field is qts:
+            elem, a_degree = small_qts, 5
+        else:
+            elem, a_degree = (lambda: random_elem(field, rng)), 8
+        for _ in range(rounds):
+            for b in _divisors(field, elem, rng):
+                a = UniPoly(field, [elem() for _ in range(rng.randint(0, a_degree))])
+                q, r = divmod(a, b)
+                assert q * b + r == a
+                assert r.degree < b.degree
 
 
 def test_characteristic_annihilates():
