@@ -20,7 +20,8 @@ basis, even a singular top-reducible one (an element has its leading
 term and signature): (ii) counts on the newest element of each
 signature, and dropping them skipped pairs nothing covered and missed
 basis elements.  At the end the minimal leading terms are kept and
-tail-reduced.
+tail-reduced.  An ideal built with ``reduced=True`` runs none of this:
+its monic generators are its reduced basis.
 
 One loop, ``_reduce``, does every reduction.  A reducer (lt, d, j, tail)
 is a monic element with signature (lt + d, j); it reduces a term t only
@@ -369,9 +370,10 @@ class Ideal:
     """Generators plus a monomial order and a lazily cached reduced
     Groebner basis.  Value-like: the basis is computed at most once, with
     the packed (leading monomial, tail) records that normal forms reduce
-    against."""
+    against.  With ``reduced=True`` the monic generators are that basis,
+    their records sorted as ``_GB.run`` sorts its result."""
 
-    def __init__(self, ring, generators, order=None):
+    def __init__(self, ring, generators, order=None, reduced=False):
         gens = []
         for g in generators:
             if not isinstance(g, Polynomial):
@@ -385,6 +387,7 @@ class Ideal:
         self.order = order if order is not None else MonomialOrder.grevlex(ring)
         self._gb = None
         self._records = None  # (packing, records)
+        self._reduced = reduced
 
     @property
     def groebner_basis(self):
@@ -393,6 +396,8 @@ class Ideal:
             gens = [g.terms for g in self.generators]
 
             def build(pk):
+                if self._reduced:
+                    return sorted((pk.record(t, dom.to_raw) for t in gens), key=lambda r: -r[0])
                 return _GB(pk, dom).run([pk.pack_terms(t, dom.to_raw) for t in gens])
 
             pk = _Packing(self.order, _width(chain.from_iterable(gens)))

@@ -295,6 +295,19 @@ CONTRACT = [
     ("ext-over-ratfunc-check-zn", "field ext(Fp(3)(t), u, u^3 - t); ring [x]; "
      "prime q = x^3 - u : univariate; check-zn q 2;", 0,
      {"symbolic": ["x^6 + u*x^3 + u^2"], "new_diff": ["x^3 + 2*u"]}),
+    # chain checks at rational points that once took seconds
+    ("check-zn-60-at-origin", "field QQ; ring [x, y]; prime m = x, y : point (0, 0); "
+     "check-zn m 60;", 0, {"verdicts": [
+         {"lhs": "p^n", "relation": "subset", "rhs": "symbolic", "holds": True},
+         {"lhs": "symbolic", "relation": "equal", "rhs": "new_diff", "holds": True},
+         {"lhs": "new_diff", "relation": "subset", "rhs": "classical", "holds": True}]}),
+    ("check-zn-12-bound-12-off-origin", "field QQ; ring [x, y, z]; point a = (1, 2, 3); "
+     "prime m = x - 1, y - 2, z - 3 : point a; check-zn m 12 bound 12;", 0, {"verdicts": [
+         {"lhs": "p^n", "relation": "subset", "rhs": "symbolic", "holds": True},
+         {"lhs": "symbolic", "relation": "equal", "rhs": "new_diff", "holds": True},
+         {"lhs": "new_diff", "relation": "subset", "rhs": "classical", "holds": True},
+         {"lhs": "new_diff", "relation": "agrees-on-monomials", "rhs": "classical",
+          "holds": True, "note": "all monomials of degree <= 12"}]}),
 ]
 
 

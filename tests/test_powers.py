@@ -12,7 +12,7 @@ from noethops.errors import (
 )
 from noethops.fields import GF, QQ, AlgExtField, RatFuncField, UniPoly
 from noethops import groebner
-from noethops.groebner import Ideal, ideal, ideal_equal, ideal_power, saturate
+from noethops.groebner import Ideal, MonomialOrder, ideal, ideal_equal, ideal_power, saturate
 from noethops.poly import PolyRing, monomials_up_to, to_unipoly
 from noethops.powers import (
     PrimeData,
@@ -23,7 +23,11 @@ from noethops.powers import (
     diff_power_new_point,
     diff_power_new_univariate,
     symbolic_power,
+    _prime_power,
+    _taylor_member,
 )
+
+from conftest import random_rational
 
 R2 = PolyRing(QQ, ["x", "y"])
 R3 = PolyRing(QQ, ["x", "y", "z"])
@@ -256,24 +260,25 @@ def count_buchberger_runs(monkeypatch):
 
 def test_chain_check_builds_one_power(monkeypatch):
     # symbolic and solution-set powers of a point's maximal ideal are both
-    # p^n itself: one Buchberger run on p^n's 4 generators, one on p's 2
+    # p^n itself, whose generators are its reduced basis, and the classical
+    # predicate reads Taylor coefficients: no Buchberger run at all
     runs = count_buchberger_runs(monkeypatch)
     p = PrimeData.rational_point(R2, (1, -2))
     report = chain_check(p, 3, agreement_bound=4)
     assert report.all_hold() and report.symbolic is report.new_diff
-    assert sorted(runs) == [2, 4]
+    assert sorted(runs) == []
 
 
 def test_chain_check_reuses_univariate_power(monkeypatch):
     # x^2 - 2 is separable, so e = 1 and ceil(n / e) = n: the symbolic and
-    # solution-set powers are both p^n, one run on p for the classical
-    # predicate and one on p^n when the report prints its basis
+    # solution-set powers are both p^n; p and p^n are monic principal
+    # ideals given as their own reduced bases, so no Buchberger run
     runs = count_buchberger_runs(monkeypatch)
     report = chain_check(univariate_sqrt2(), 3)
     assert report.all_hold() and report.symbolic is report.new_diff
     assert report.find("symbolic", "new_diff").relation == "equal"
     assert report.to_json()["new_diff"] == ["x^6 - 6*x^4 + 12*x^2 - 8"]
-    assert runs == [1, 1]
+    assert runs == []
 
 
 @pytest.mark.parametrize("gens", [
@@ -388,3 +393,91 @@ def test_report_json_shape():
     assert data["n"] == 2
     assert data["symbolic"] is not None
     assert any(v["relation"] == "strict-subset" for v in data["verdicts"])
+
+
+QT = RatFuncField(QQ, "t")
+QV = AlgExtField(QQ, "v", UniPoly(QQ, [Fraction(-2), Fraction(0), Fraction(1)]))
+
+
+def _coordinate(field, rng):
+    """A nonzero coordinate of small height: tower values stay low so that
+    Buchberger over QQ(t) and QQ[v] finishes quickly."""
+    if field == QQ:
+        return random_rational(rng, 5) or Fraction(1)
+    if field in (QT, QV):
+        g = field.generator()
+        return rng.choice([g, g + 1, 1 / g, 2 * g - 3, field.from_int(3) / 2])
+    return field.from_int(rng.randrange(1, field.p))
+
+
+def _small_poly(ring, rng, degree):
+    """Up to five terms of degree <= degree with coefficients in [-5, 5]."""
+    monos = monomials_up_to(ring.nvars, degree)
+    return ring.poly({rng.choice(monos): rng.randint(-5, 5) for _ in range(5)})
+
+
+def _seeded_points(field, rng):
+    """Points in 1-3 variables, each with and without a zero coordinate."""
+    for nvars in (1, 2, 3):
+        ring = PolyRing(field, ["x", "y", "z"][:nvars])
+        for with_zero in (False, True):
+            point = [_coordinate(field, rng) for _ in range(nvars)]
+            if with_zero:
+                point[rng.randrange(nvars)] = field.zero()
+            yield ring, point
+
+
+@pytest.mark.parametrize("field", [QQ, GF(7), QT, QV], ids=repr)
+def test_point_powers_match_buchberger(field):
+    # (x - a)^beta, |beta| = j, taken as the reduced basis of m_a^j against
+    # Buchberger run on the same generators, in both orders
+    rng = random.Random(2121)
+    for ring, point in _seeded_points(field, rng):
+        for order in (MonomialOrder.grevlex(ring), MonomialOrder.lex(ring)):
+            gens = [ring.var(i) - ring.const(a) for i, a in enumerate(point)]
+            p = PrimeData.rational_point(ring, point, Ideal(ring, gens, order))
+            polys = [_small_poly(ring, rng, 7) for _ in range(2)]
+            for j in range(1, 7):
+                closed = _prime_power(p, j)
+                fresh = Ideal(ring, closed.generators, order)
+                assert closed.groebner_basis == fresh.groebner_basis
+                assert [closed.normal_form(f) for f in polys] == [fresh.normal_form(f) for f in polys]
+
+
+@pytest.mark.parametrize("prime", [
+    univariate_sqrt2(),
+    PrimeData.univariate(PolyRing(QQ, ["x"]).parse("x^3 - x - 1")),
+    univariate_insep(3),
+    PrimeData.univariate(PolyRing(RatFuncField(GF(3), "t"), ["x"]).parse("x^2 - t")),
+], ids=["QQ-x^2-2", "QQ-x^3-x-1", "Fp(3)(t)-x^3-t", "Fp(3)(t)-x^2-t"])
+def test_univariate_powers_match_buchberger(prime):
+    rng = random.Random(2122)
+    ring = prime.ring
+    polys = [_small_poly(ring, rng, 14) for _ in range(3)]
+    for j in range(1, 7):
+        closed = _prime_power(prime, j)
+        fresh = Ideal(ring, closed.generators)
+        assert closed.groebner_basis == fresh.groebner_basis
+        assert [closed.normal_form(f) for f in polys] == [fresh.normal_form(f) for f in polys]
+
+
+@pytest.mark.parametrize("field", [QQ, QT, QV], ids=repr)
+def test_taylor_predicate_matches_derivatives(field):
+    # members are products of n factors x_i - a_i with a random polynomial;
+    # one factor fewer, or a random polynomial, is mostly not a member
+    rng = random.Random(2123)
+    seen = set()
+    for ring, point in _seeded_points(field, rng):
+        p = PrimeData.rational_point(ring, point)
+        factors = p.ideal.generators
+        for n in range(1, 6):
+            member = _taylor_member(p.point, n)
+            for k in (n, n, n - 1, 0):
+                f = _small_poly(ring, rng, 3)
+                for _ in range(k):
+                    f = f * rng.choice(factors)
+                expected = diff_power_classical_member(p.ideal, n, f)
+                assert member(f) == expected
+                assert expected or k < n or f.is_zero()
+                seen.add(expected)
+    assert seen == {True, False}
