@@ -417,8 +417,8 @@ class UniPoly(RingValue):
     """Dense univariate polynomial over a coefficient field.
 
     Used for the internals of rational function fields and algebraic
-    extensions, and for residue-field computations in L[x].  The
-    coefficient tuple is stored low degree first with no trailing zeros.
+    extensions.  The coefficient tuple is stored low degree first with no
+    trailing zeros.
     """
 
     __slots__ = ("field", "coeffs")

@@ -318,15 +318,14 @@ class Polynomial(RingValue):
         return self.format()
 
 
-def to_unipoly(f, target_field=None):
-    """One-variable Polynomial -> UniPoly, optionally over a field above the
-    ring's, into which target_field.coerce lifts the coefficients."""
+def to_unipoly(f):
+    """One-variable Polynomial -> UniPoly over the ring's field."""
     from .fields import UniPoly
 
     if f.ring.nvars != 1:
         raise ArityMismatchError("to_unipoly needs a one-variable ring")
     d = f.total_degree()
-    field = target_field if target_field is not None else f.ring.field
+    field = f.ring.field
     coeffs = [field.zero()] * (d + 1)
     for (e,), c in f.terms.items():
         coeffs[e] = field.coerce(c)

@@ -9,9 +9,9 @@ exactly at desk scale:
   (J + m^n with J = 0).  The (x - a)^beta spanning m^n are its reduced
   basis, as is monic m^j for a univariate prime: neither runs Buchberger.
 * ``univariate-algebraic``: p = (m(x)) in K[x] with m monic and
-  caller-certified irreducible; the residue field K[x]/(m) is built as
-  an algebraic extension and the solution-set power is found by exact
-  division in L[x].  This is the home of the inseparability phenomena.
+  caller-certified irreducible; the solution-set power is m^j with j
+  read from the exponents of m, no extension field built.  This is the
+  home of the inseparability phenomena.
 * ``general-with-witness``: any prime together with an element s not in
   p that is known to lie in every other associated prime of p^n, so the
   symbolic power is the saturation (p^n : s^infinity).
@@ -24,17 +24,16 @@ refused rather than silently approximated.
 """
 
 from dataclasses import dataclass, field as dataclass_field
-from math import comb
+from math import comb, gcd
 
 from .errors import (
     ArityMismatchError,
     PointNotOnVarietyError,
     UnsupportedCharacteristicError,
 )
-from .fields import AlgExtField, UniPoly
 from .groebner import Ideal, ideal_equal, ideal_power, ideal_sum, saturate
 from .linalg import kernel_basis
-from .poly import Polynomial, add_into, monomials_of_degree, monomials_up_to, to_unipoly
+from .poly import Polynomial, add_into, monomials_of_degree, monomials_up_to
 
 RATIONAL_POINT = "rational-point"
 UNIVARIATE = "univariate-algebraic"
@@ -199,20 +198,6 @@ def diff_power_new_point(J, point, n):
     return ideal_sum(J, ideal_power(maximal, n))
 
 
-def _vanishing_order_at_root(F, u):
-    """Largest e with (x - u)^e dividing the nonzero F, by repeated
-    division by the monic linear factor."""
-    L = u.field
-    linear = UniPoly(L, [-u, L.one()])
-    count = 0
-    while not F.is_zero():
-        F, rem = divmod(F, linear)
-        if not rem.is_zero():
-            break
-        count += 1
-    return count
-
-
 def diff_power_new_univariate(p, n):
     """Solution-set differential power of p = (m(x)) in K[x]:
     {f : (x - u)^n divides f in L[x]}, L = K[x]/(m) with root u.
@@ -220,8 +205,13 @@ def diff_power_new_univariate(p, n):
     The contraction is a principal ideal whose monic generator divides
     m^n; with m irreducible that generator is a power m^j.  L[x] is a UFD
     and (x - u)^e exactly divides m for e = ord_u(m), so ord_u(m^j) = j*e
-    and the least j with j*e >= n is ceil(n / e).  When m is inseparable
-    (x^p - t over F_p(t)) e exceeds 1 and the power drops below n.
+    and the least j with j*e >= n is ceil(n / e).  An irreducible m over a
+    field of characteristic q > 0 is g(x^(q^k)) with g separable (Lang,
+    Algebra, ch. V, sec. 6), so e = q^k, the largest power of q dividing
+    every exponent of m; in characteristic 0, e = 1.  Both rest on m
+    being irreducible, which the caller certifies and nothing here
+    checks.  When m is inseparable (x^p - t over F_p(t)) e exceeds 1 and
+    the power drops below n.
     """
     if p.kind != UNIVARIATE:
         raise ValueError("univariate solution-set power needs a univariate prime")
@@ -230,16 +220,22 @@ def diff_power_new_univariate(p, n):
 
 def _solution_set_exponent(p, n):
     """The j with p^j the solution-set power of p: n at a rational point,
-    where J = 0 and J + m^n = p^n, and ceil(n / ord_u(m)) for a univariate
-    prime; refused for a general prime given only by a witness."""
+    where J = 0 and J + m^n = p^n, and ceil(n / e) for a univariate prime,
+    e = q^k the largest power of the characteristic q dividing every
+    exponent of m (1 when q = 0), which is ord_u(m) because the caller
+    certifies m irreducible; refused for a general prime given only by a
+    witness."""
     if n < 1:
         raise ValueError("differential power requires n >= 1")
     if p.kind == RATIONAL_POINT:
         return n
     if p.kind == UNIVARIATE:
-        K = p.ring.field
-        L = AlgExtField(K, K.fresh_name("u"), to_unipoly(p.minpoly))
-        e = _vanishing_order_at_root(to_unipoly(p.minpoly, L), L.generator())
+        q = p.ring.field.characteristic
+        g = gcd(*(d for (d,) in p.minpoly.terms))  # > 0: m is nonconstant
+        e = 1
+        while q and g % q == 0:
+            g //= q
+            e *= q
         return -(-n // e)
     raise UnsupportedCharacteristicError(
         "solution-set differential powers need a rational-point "

@@ -292,6 +292,8 @@ CONTRACT = [
      {"result": ["x^6 + u*x^3 + u^2"]}),
     ("ext-over-ratfunc-diffpow-7", "field ext(Fp(3)(t), u, u^3 - t); ring [x]; "
      "prime q = x^3 - u : univariate; diffpow --new q 7;", 0, {"result": ["x^9 + 2*t"]}),
+    ("x4-plus-t-diffpow-5", "field Fp(2)(t); ring [x]; prime q = x^4 + t : univariate; "
+     "diffpow --new q 5;", 0, {"result": ["x^8 + t^2"]}),
     ("ext-over-ratfunc-check-zn", "field ext(Fp(3)(t), u, u^3 - t); ring [x]; "
      "prime q = x^3 - u : univariate; check-zn q 2;", 0,
      {"symbolic": ["x^6 + u*x^3 + u^2"], "new_diff": ["x^3 + 2*u"]}),

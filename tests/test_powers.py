@@ -161,8 +161,9 @@ def test_new_univariate_separable_control():
 
 def _scanned_power_exponent(prime, n):
     """Least j with (x - u)^n dividing m^j in L[x], by trying m, m^2, ..."""
-    L = AlgExtField(prime.ring.field, "u", to_unipoly(prime.minpoly))
-    m = to_unipoly(prime.minpoly, L)
+    m = to_unipoly(prime.minpoly)
+    L = AlgExtField(prime.ring.field, "u", m)
+    m = UniPoly(L, [L.coerce(c) for c in m.coeffs])
     linear = UniPoly(L, [-L.generator(), L.one()])
     for j in range(1, n + 1):
         F = m**j
@@ -217,6 +218,23 @@ def test_new_univariate_matches_power_scan():
         cases += [(prime, n) for n in range(1, 7)]
     for prime, n in cases:
         j = _scanned_power_exponent(prime, n)
+        assert ideal_equal(diff_power_new_univariate(prime, n), ideal_power(prime.ideal, j))
+
+
+@pytest.mark.parametrize("field, text, e", [
+    (RatFuncField(GF(2), "t"), "x^4 + t", 4),  # k = 2
+    (RatFuncField(GF(3), "t"), "x^9 - t", 9),
+    (RatFuncField(GF(2), "t"), "x^4 + t*x^2 + t", 2),  # mixed exponents
+    (RatFuncField(GF(3), "t"), "x^6 + t*x^3 + t", 3),
+    (RatFuncField(GF(3), "t"), "x^3 + x + t", 1),  # separable, 3 divides one exponent
+    (GF(3), "x^2 + 1", 1),  # perfect fields
+    (GF(2), "x^3 + x + 1", 1),
+], ids=str)
+def test_new_univariate_exponent_rule_matches_power_scan(field, text, e):
+    prime = PrimeData.univariate(PolyRing(field, ["x"]).parse(text))
+    scanned = [_scanned_power_exponent(prime, n) for n in range(1, e + 2)]
+    assert scanned == [1] * e + [2]
+    for n, j in enumerate(scanned, 1):
         assert ideal_equal(diff_power_new_univariate(prime, n), ideal_power(prime.ideal, j))
 
 
