@@ -61,9 +61,10 @@ of its exponents.
 
 The kernel computes on raw coefficients through its field's domain
 operations (see ``fields``).  Only ``Ideal`` converts: it packs generators
-and ``f``, and unpacks bases, ``leading_monomials`` and ``normal_form``
-remainders, while ``contains`` stops at the first packed remainder term
-and unpacks nothing.  Cached records keep packed monomials and raw tails.
+and unpacks bases, ``leading_monomials`` and ``normal_form`` remainders.
+Its cached records keep packed monomials and raw tails; ``normal_form``
+and ``contains`` pack f straight onto them while f's exponents fit their
+width, and ``contains`` stops at the first remainder term, unpacking none.
 
 Intersections and saturations go through an auxiliary variable and a
 block elimination order, the standard single-variable constructions.
@@ -416,22 +417,25 @@ class Ideal:
 
     def _remainder(self, f, limit):
         """The packing and the first `limit` (None: all) raw remainder terms
-        of f, biggest first."""
+        of f, biggest first.  The basis is repacked wider, and kept, only
+        when f's exponents outgrow the cached width or a reduction overflows."""
         if f.ring != self.ring:
             raise IncompatibleFieldError("polynomial from a different ring")
         dom = self.ring.field
+        pk, records = self._packed_basis()
+        if not max(chain.from_iterable(f.terms), default=0) >> (pk.width - 2):
+            try:  # f packs straight onto the cached records
+                terms = pk.pack_terms(f.terms, dom.to_raw)
+                return pk, list(islice(_reduce(terms, records, pk.guard, dom.submul), limit))
+            except _Overflow:
+                pass
 
-        def reduce(pk):
-            if pk is not self._records[0]:  # a wider packing: repack the basis and keep it
-                self._records = pk, [pk.record(g.terms, dom.to_raw) for g in self._gb]
+        def reduce(pk):  # a wider packing: repack the basis and keep it
+            self._records = pk, [pk.record(g.terms, dom.to_raw) for g in self._gb]
             terms = pk.pack_terms(f.terms, dom.to_raw)
             return list(islice(_reduce(terms, self._records[1], pk.guard, dom.submul), limit))
 
-        pk = self._packed_basis()[0]
-        width = _width(f.terms)
-        if width > pk.width:
-            pk = _Packing(self.order, width)
-        return _widening(pk, reduce)
+        return _widening(_Packing(self.order, max(2 * pk.width, _width(f.terms))), reduce)
 
     def normal_form(self, f):
         """Remainder of multivariate division by the reduced basis;

@@ -6,8 +6,9 @@ exactly at desk scale:
 
 * ``rational-point``: the maximal ideal of a point of affine space;
   symbolic powers are ordinary powers, and so is the solution-set power
-  (J + m^n with J = 0).  The (x - a)^beta spanning m^n are its reduced
-  basis, as is monic m^j for a univariate prime: neither runs Buchberger.
+  (J + m^n with J = 0).  The (x - a)^beta spanning m^n, expanded in
+  closed form, are its reduced basis, as is monic m^j for a univariate
+  prime: neither runs Buchberger.  A prime keeps the powers it builds.
 * ``univariate-algebraic``: p = (m(x)) in K[x] with m monic and
   caller-certified irreducible; the solution-set power is m^j with j
   read from the exponents of m, no extension field built.  This is the
@@ -18,13 +19,18 @@ exactly at desk scale:
 
 The classical differential power (operators into the ring itself) is a
 membership predicate generated by iterated partial derivatives, read at a
-rational point from the Taylor coefficients of f(x + a); that
+rational point from the Taylor coefficients of degree < n of f(x + a),
+shifted on raw coefficients (``Polynomial.translate`` stays on wrapped
+values until the benchmark's peak memory stops counting jobs); that
 description is only valid over characteristic zero, so anything else is
 refused rather than silently approximated.
 """
 
+import sys
 from dataclasses import dataclass, field as dataclass_field
-from math import comb, gcd
+from functools import cache, reduce
+from itertools import combinations_with_replacement, repeat
+from math import comb, gcd, perm, prod
 
 from .errors import (
     ArityMismatchError,
@@ -33,7 +39,7 @@ from .errors import (
 )
 from .groebner import Ideal, ideal_equal, ideal_power, ideal_sum, saturate
 from .linalg import kernel_basis
-from .poly import Polynomial, add_into, monomials_of_degree, monomials_up_to
+from .poly import Polynomial, monomial_div, monomials_of_degree, monomials_up_to
 
 RATIONAL_POINT = "rational-point"
 UNIVARIATE = "univariate-algebraic"
@@ -49,6 +55,8 @@ class PrimeData:
     point: tuple = None
     minpoly: Polynomial = None
     witness: Polynomial = None
+    # p^j by j, as _prime_power built them: later commands on p reuse them
+    powers: dict = dataclass_field(default_factory=dict, init=False, compare=False, repr=False)
 
     @classmethod
     def rational_point(cls, ring, point, ideal=None):
@@ -93,11 +101,7 @@ def symbolic_power(p, n):
     """
     if n < 1:
         raise ValueError("symbolic power requires n >= 1")
-    return _symbolic_from_power(p, _prime_power(p, n))
-
-
-def _symbolic_from_power(p, pn):
-    """The symbolic power from pn = p^n, which is pn when already primary."""
+    pn = _prime_power(p, n)
     if p.kind in (RATIONAL_POINT, UNIVARIATE):
         return pn
     if p.witness is None:
@@ -119,26 +123,47 @@ def _classical_member(I, n):
     return lambda f: all(I.contains(f.diff_multi(beta)) for beta in betas)
 
 
-def _shift(f, point):
-    """The terms of f(x + a), one variable at a time by the binomial
-    theorem, skipping zero coordinates.  ``Polynomial.translate`` moves
-    onto this once the benchmark's peak memory stops counting jobs."""
-    terms = f.terms
-    for i, a in enumerate(point):
-        if a:  # c * x_i^e -> sum over k <= e of c * C(e, k) * a^(e - k) * x_i^k
-            powers = [a**e for e in range(max((m[i] for m in terms), default=0) + 1)]
-            terms = add_into({}, (
-                (m[:i] + (k,) + m[i + 1:], c * powers[m[i] - k] * comb(m[i], k))
-                for m, c in terms.items() for k in range(m[i] + 1)))
-    return terms
-
-
-def _taylor_member(point, n):
+def _taylor_member(p, n):
     """The classical predicate at a rational point in characteristic 0: by
     Taylor, d^beta f(a) = beta! [x^beta] f(x + a), so f is a member exactly
-    when f(x + a) has no term of degree < n.  f(a), over every coordinate,
-    rules out most non-members before any shift."""
-    return lambda f: not f.evaluate(point) and all(sum(m) >= n for m in _shift(f, point))
+    when f(x + a) has no term of degree < n.  On raw coefficients, f(a)
+    first, then the shift one variable at a time by the binomial theorem,
+    skipping zero coordinates.  A term is dropped once its degree in the
+    variables shifted so far (zero coordinates count from the start)
+    reaches n, as later shifts keep those exponents.  Raw zeros (None, 0,
+    a tower's zero) are falsy.  ``Polynomial.translate`` stays wrapped."""
+    dom = p.ring.field
+    to_raw, mul, submul = dom.to_raw, dom.mul, dom.submul
+    one, point = to_raw(dom.one()), [to_raw(a) for a in p.point]
+    fixed = [i for i, a in enumerate(point) if not a]
+    moving = [i for i, a in enumerate(point) if a]
+    power = cache(lambda i, e: to_raw(p.point[i] ** e))  # a_i^e
+
+    @cache
+    def weights(i, e):  # C(e, k) * a_i^(e - k) for k < min(e + 1, n)
+        return [mul(to_raw(dom.from_int(comb(e, k))), power(i, e - k)) for k in range(min(e + 1, n))]
+
+    def member(f):
+        terms = {(s, m): to_raw(c) for m, c in f.terms.items() if (s := sum(m[i] for i in fixed)) < n}
+        value = None  # -f(a)
+        for (s, m), c in terms.items():
+            if not s:
+                value = submul(value, c, reduce(mul, [power(i, e) for i, e in enumerate(m) if e], one))
+        if value:
+            return False
+        for i in moving:
+            columns = {}  # (degree in the shifted variables, m without x_i): [(e, c), ...]
+            for (s, m), c in terms.items():
+                columns.setdefault((s, m[:i] + m[i + 1:]), []).append((m[i], c))
+            terms = {}
+            for (s, rest), column in columns.items():  # c * x_i^e -> c * C(e, k) * a_i^(e - k) * x_i^k
+                acc = [None] * min(n - s, max(column)[0] + 1)  # submul negates: signs alternate
+                for e, c in column:
+                    acc[:e + 1] = map(submul, acc, repeat(c, e + 1), weights(i, e))
+                terms.update(((s + k, rest[:i] + (k,) + rest[i:]), c) for k, c in enumerate(acc) if c)
+        return not terms
+
+    return member
 
 
 def diff_power_classical_member(I, n, f):
@@ -166,16 +191,22 @@ def diff_power_classical_graded(I, n, degree_bound):
     field = ring.field
     gens = []
     betas = monomials_up_to(ring.nvars, n - 1)
+    monomial_nf = cache(lambda gamma: I.normal_form(ring.monomial(gamma)).terms)  # NF(x^gamma)
+
+    def diff_normal_form(m, beta):  # d^beta x^m = (m! / (m - beta)!) x^(m - beta)
+        k = prod(map(perm, m, beta))  # 0 unless x^beta divides x^m
+        return {s: c * field.from_int(k) for s, c in monomial_nf(monomial_div(m, beta)).items()} if k else {}
+
     for d in range(degree_bound + 1):
         monos = monomials_of_degree(ring.nvars, d)
         if not monos:
             continue
         rows = []
         for beta in betas:
-            normal_forms = [I.normal_form(ring.monomial(m).diff_multi(beta)) for m in monos]
-            support = sorted({s for nf in normal_forms for s in nf.terms})
+            normal_forms = [diff_normal_form(m, beta) for m in monos]
+            support = sorted({s for nf in normal_forms for s in nf})
             for s in support:
-                rows.append({i: nf.terms[s] for i, nf in enumerate(normal_forms) if s in nf.terms})
+                rows.append({i: nf[s] for i, nf in enumerate(normal_forms) if s in nf})
         for v in kernel_basis(rows, len(monos), field):
             gens.append(Polynomial(ring, {monos[i]: c for i, c in v.items()}))
     return Ideal(ring, gens, I.order)
@@ -194,8 +225,7 @@ def diff_power_new_point(J, point, n):
             raise PointNotOnVarietyError(
                 f"generator {g} does not vanish at the point"
             )
-    maximal = Ideal(ring, [ring.var(i) - ring.const(a) for i, a in enumerate(point)], J.order)
-    return ideal_sum(J, ideal_power(maximal, n))
+    return ideal_sum(J, _prime_power(PrimeData.rational_point(ring, point), n))
 
 
 def diff_power_new_univariate(p, n):
@@ -244,15 +274,34 @@ def _solution_set_exponent(p, n):
 
 
 def _prime_power(p, j):
-    """p^j, with its reduced basis given for a rational-point or univariate
-    prime.  Each (x - a)^beta, |beta| = j, is monic with lead x^beta in
-    every order and tail terms of degree < j; the staircase of the leads
-    has C(j+d-1, d) monomials, dim K[x]/m_a^j.  Monic m^j is its own
-    reduced basis.  A witness prime's power goes through Buchberger."""
-    pj = ideal_power(p.ideal, j)
-    if p.kind == WITNESS:
-        return pj
-    return Ideal(p.ring, pj.generators, pj.order, reduced=True)
+    """p^j, built once per prime and kept in ``p.powers``.  At a rational
+    point, each (x - a)^beta, |beta| = j, listed in ideal_power's order, is
+    the outer product of the expansions sum_k C(b, k) (-a_i)^(b - k) x_i^k
+    of its factors; it is monic with lead x^beta in every order and tail
+    terms of degree < j, and the staircase of the leads has C(j+d-1, d)
+    monomials, dim K[x]/m_a^j, so these are the reduced basis.  Monic m^j
+    is its own reduced basis.  A witness prime's power goes through
+    Buchberger."""
+    if j in p.powers:
+        return p.powers[j]
+    ring, field = p.ring, p.ring.field
+    if p.kind != RATIONAL_POINT:
+        pj = ideal_power(p.ideal, j)
+        pj = pj if p.kind == WITNESS else Ideal(ring, pj.generators, pj.order, reduced=True)
+    elif j > sys.maxsize:  # as ideal_power refuses it
+        raise ValueError(f"ideal power exponent exceeds {sys.maxsize}")
+    else:
+        expansion = cache(lambda i, b: [  # the (k, coefficient) terms of (x_i - a_i)^b
+            (k, c) for k in range(b + 1) if (c := field.from_int(comb(b, k)) * (-p.point[i]) ** (b - k))])
+        gens = []
+        for combo in combinations_with_replacement(range(ring.nvars), j):
+            terms = {(): field.one()}
+            for i in range(ring.nvars):
+                terms = {m + (k,): c * ck for m, c in terms.items() for k, ck in expansion(i, combo.count(i))}
+            gens.append(Polynomial(ring, terms))
+        pj = Ideal(ring, gens, p.ideal.order, reduced=True)
+    p.powers[j] = pj
+    return pj
 
 
 def diff_power_new(p, n):
@@ -355,7 +404,7 @@ def chain_check(p, n, agreement_bound=None):
     char = ring.field.characteristic
 
     pn = _prime_power(p, n)
-    report.symbolic = _symbolic_from_power(p, pn)
+    report.symbolic = symbolic_power(p, n)
     report.verdicts.append(
         Verdict(
             "p^n",
@@ -366,8 +415,7 @@ def chain_check(p, n, agreement_bound=None):
     )
 
     if p.kind != WITNESS:  # a witness prime has no solution-set power to compare
-        j = _solution_set_exponent(p, n)
-        report.new_diff = pn if j == n else _prime_power(p, j)
+        report.new_diff = _prime_power(p, _solution_set_exponent(p, n))
         _inclusion_verdict(report, "symbolic", report.symbolic, "new_diff", report.new_diff)
 
     if char != 0:
@@ -384,26 +432,14 @@ def chain_check(p, n, agreement_bound=None):
         inner = report.new_diff if report.new_diff is not None else report.symbolic
         inner_name = "new_diff" if report.new_diff is not None else "symbolic"
         at_point = p.kind == RATIONAL_POINT
-        member = _taylor_member(p.point, n) if at_point else _classical_member(p.ideal, n)
+        member = _taylor_member(p, n) if at_point else _classical_member(p.ideal, n)
         ok = all(member(g) for g in inner.generators)
         report.verdicts.append(Verdict(inner_name, VERDICT_SUBSET, "classical", ok))
         if agreement_bound is not None:
-            witness = None
-            agree = True
-            for m in monomials_up_to(ring.nvars, agreement_bound):
-                f = ring.monomial(m)
-                if inner.contains(f) != member(f):
-                    agree = False
-                    witness = f
-                    break
+            one = ring.field.one()
+            monomials = (Polynomial(ring, {m: one}) for m in monomials_up_to(ring.nvars, agreement_bound))
+            witness = next((f for f in monomials if inner.contains(f) != member(f)), None)
+            note = f"all monomials of degree <= {agreement_bound}"
             report.verdicts.append(
-                Verdict(
-                    inner_name,
-                    VERDICT_AGREE,
-                    "classical",
-                    agree,
-                    witness,
-                    note=f"all monomials of degree <= {agreement_bound}",
-                )
-            )
+                Verdict(inner_name, VERDICT_AGREE, "classical", witness is None, witness, note=note))
     return report

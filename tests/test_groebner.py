@@ -479,6 +479,33 @@ def test_exponents_outgrowing_the_packing_width():
     assert J.contains(R.parse("y^40000*x - z*x"))
 
 
+@pytest.mark.parametrize("kind", ["grevlex", "lex"])
+@pytest.mark.parametrize("field", [QQ, GF(7)], ids=["QQ", "GF(7)"])
+def test_widened_packing_answers_as_a_fresh_ideal(field, kind):
+    # small inputs pack straight onto the cached 16-bit records; x^70000
+    # outgrows them, and in lex y^400 against y - z^100 overflows during
+    # reduction: both widen the cached packing, and no answer, before or
+    # after, differs from that of an ideal that never packed anything
+    R = PolyRing(field, ["x", "y", "z"])
+    order = MonomialOrder.lex(R) if kind == "lex" else MonomialOrder.grevlex(R)
+    gens = ["x^3", "y^2 - x*y", "z^2 + 2*y"] if kind == "grevlex" else ["x^3", "y - z^100"]
+    I = ideal(R, *gens, order=order)
+    small = [R.parse(t) for t in ("x^2*y + z", "x*y^2 - 1", "z^5 + x*z", "y^3 - x*y^2 + 3")]
+    wide = [R.parse(t) for t in ("y^400 + x", "x^70000 + y^3", "x^70000*z - z^2")]
+
+    def fresh(f):
+        J = Ideal(R, I.generators, order)
+        return J.contains(f), J.normal_form(f)
+
+    before = [(I.contains(f), I.normal_form(f)) for f in small]
+    assert before == [fresh(f) for f in small] and I._packed_basis()[0].width == 16
+    assert I.normal_form(wide[0]) == R.parse("x + z^40000" if kind == "lex" else "x")
+    for f in wide:
+        assert (I.contains(f), I.normal_form(f)) == fresh(f)
+    assert I._packed_basis()[0].width > 16
+    assert [(I.contains(f), I.normal_form(f)) for f in small] == before
+
+
 @pytest.mark.parametrize("field", [QQ, GF(7)], ids=["QQ", "GF(7)"])
 def test_reducing_a_polynomial_wider_than_the_basis_packing(field):
     # x^70000 needs 32-bit fields where the basis packs into 16: the basis

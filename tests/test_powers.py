@@ -104,6 +104,17 @@ def test_classical_graded_examples():
     assert ideal_equal(Dx, ideal(R2, "x^2"))
 
 
+def test_classical_graded_twisted_cubic_is_symbolic():
+    # Zariski-Nagata in characteristic 0: the classical differential power
+    # of a prime is its symbolic power, and the twisted cubic's square is
+    # generated in degree 4.  Normal forms modulo it are not monomials, so
+    # each d^beta x^m must keep its factor m! / (m - beta)!
+    I = twisted_cubic_prime().ideal
+    S = symbolic_power(twisted_cubic_prime(), 2)
+    assert max(g.total_degree() for g in S.groebner_basis) == 4
+    assert ideal_equal(diff_power_classical_graded(I, 2, 4), S)
+
+
 def test_classical_graded_requires_homogeneous():
     with pytest.raises(ValueError):
         diff_power_classical_graded(ideal(R2, "x^2 - y"), 2, 3)
@@ -415,6 +426,7 @@ def test_report_json_shape():
 
 QT = RatFuncField(QQ, "t")
 QV = AlgExtField(QQ, "v", UniPoly(QQ, [Fraction(-2), Fraction(0), Fraction(1)]))
+QTS = RatFuncField(QT, "s")  # a depth-2 tower
 
 
 def _coordinate(field, rng):
@@ -425,6 +437,9 @@ def _coordinate(field, rng):
     if field in (QT, QV):
         g = field.generator()
         return rng.choice([g, g + 1, 1 / g, 2 * g - 3, field.from_int(3) / 2])
+    if field == QTS:  # no quotients: with t / s the derivative oracle runs for minutes
+        s, t = field.generator(), field.coerce(QT.generator())
+        return rng.choice([s, s + t, 2 * s - 3, t * s, field.from_int(3) / 2])
     return field.from_int(rng.randrange(1, field.p))
 
 
@@ -462,6 +477,34 @@ def test_point_powers_match_buchberger(field):
                 assert [closed.normal_form(f) for f in polys] == [fresh.normal_form(f) for f in polys]
 
 
+@pytest.mark.parametrize("field", [QQ, GF(7), QT, QV], ids=repr)
+def test_point_power_generators_match_ideal_power(field):
+    # the closed form lists the same (x - a)^beta, in the same order, as
+    # the products ideal_power multiplies out; at j = 7 over GF(7) every
+    # inner binomial coefficient vanishes and its term must go
+    rng = random.Random(2124)
+    for ring, point in _seeded_points(field, rng):
+        for order in (MonomialOrder.grevlex(ring), MonomialOrder.lex(ring)):
+            gens = [ring.var(i) - ring.const(a) for i, a in enumerate(point)]
+            p = PrimeData.rational_point(ring, point, Ideal(ring, gens, order))
+            for j in range(1, 8):
+                closed = _prime_power(p, j)
+                assert closed.order == order
+                assert list(closed.generators) == list(ideal_power(p.ideal, j).generators)
+
+
+@pytest.mark.parametrize("make", [
+    lambda: PrimeData.rational_point(R2, (1, -2)),
+    univariate_sqrt2,
+], ids=["point", "QQ-x^2-2"])
+def test_prime_powers_are_built_once(make):
+    # sympow, diffpow --new and check-zn on one prime share its p^n
+    p = make()
+    assert symbolic_power(p, 4) is diff_power_new(p, 4)
+    assert chain_check(p, 4).new_diff is symbolic_power(p, 4)
+    assert symbolic_power(p, 3) is not symbolic_power(p, 4)
+
+
 @pytest.mark.parametrize("prime", [
     univariate_sqrt2(),
     PrimeData.univariate(PolyRing(QQ, ["x"]).parse("x^3 - x - 1")),
@@ -479,7 +522,7 @@ def test_univariate_powers_match_buchberger(prime):
         assert [closed.normal_form(f) for f in polys] == [fresh.normal_form(f) for f in polys]
 
 
-@pytest.mark.parametrize("field", [QQ, QT, QV], ids=repr)
+@pytest.mark.parametrize("field", [QQ, QT, QV, QTS], ids=repr)
 def test_taylor_predicate_matches_derivatives(field):
     # members are products of n factors x_i - a_i with a random polynomial;
     # one factor fewer, or a random polynomial, is mostly not a member
@@ -488,8 +531,8 @@ def test_taylor_predicate_matches_derivatives(field):
     for ring, point in _seeded_points(field, rng):
         p = PrimeData.rational_point(ring, point)
         factors = p.ideal.generators
-        for n in range(1, 6):
-            member = _taylor_member(p.point, n)
+        for n in range(1, 8):
+            member = _taylor_member(p, n)
             for k in (n, n, n - 1, 0):
                 f = _small_poly(ring, rng, 3)
                 for _ in range(k):
