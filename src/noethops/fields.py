@@ -24,13 +24,18 @@ fields off each other's towers do not mix (``IncompatibleFieldError``).
 
 The four fields derive from :class:`Field`, which defines once what they
 share: identity (``==`` and ``hash`` compare a per-field ``_ident()``
-tuple), no named generators, and the domain of raw values that the
-Groebner kernel and ``linalg.kernel_basis`` compute on, for a field whose
-raw value is the element itself.  ``QQ`` and
-``GF(p)`` override the domain with ints in [0, p) for ``GF(p)`` and reduced
-``(num, den)`` pairs with den > 0 (None for 0) for ``QQ``.
-``to_raw``/``from_raw`` convert; ``submul(acc, c, t)`` is acc - c*t (acc
-None is 0), falsy exactly when zero; ``mul`` and ``inv`` take nonzero values.
+tuple), no named generators, and raw values, canonical and falsy exactly
+at zero: an int in [0, p) for ``GF(p)``; a reduced ``(num, den)`` pair,
+den > 0, for ``QQ`` (None for 0); for a tower, lists of the base's raw
+values (tuples, low degree first, no trailing zeros): a coprime ``(num,
+den)`` pair with den monic for ``RatFuncField`` (None for 0), the residue
+for ``AlgExtField`` (``()`` for 0).  ``to_raw``/``from_raw`` convert;
+``add``, ``neg``, ``submul(acc, c, t)`` (acc - c*t, a falsy acc is 0),
+``mul`` and ``inv`` (of nonzero values) compute, and the list methods
+``padd`` ... ``pinverse`` are written once on them, so towers compose level
+by level and :class:`UniPoly` shares them.  The Groebner kernel and
+``linalg.kernel_basis`` compute on raw values; a value of ``GF(p)`` or of
+a tower (:class:`RawValue`) holds its raw value.
 
 Every exact value type other than ``Fraction`` derives its operators from
 one of two bases.  :class:`RingValue` gives ``-``, reflected ``-``, ``==``
@@ -74,32 +79,26 @@ def invert(a):
 @lru_cache(maxsize=None)
 def _is_prime(n):
     """Deterministic Miller-Rabin, valid far beyond 2**64."""
-    if n < 2:
-        return False
-    for q in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
-        if n % q == 0:
-            return n == q
+    bases = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+    if n < 2 or any(n % q == 0 for q in bases):
+        return n in bases
     d, s = n - 1, 0
     while d % 2 == 0:
-        d //= 2
-        s += 1
-    for a in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
+        d, s = d // 2, s + 1
+    for a in bases:
         x = pow(a, d, n)
-        if x in (1, n - 1):
-            continue
-        for _ in range(s - 1):
-            x = x * x % n
-            if x == n - 1:
-                break
-        else:
+        if x not in (1, n - 1) and all((x := x * x % n) != n - 1 for _ in range(s - 1)):
             return False
     return True
 
 
 class Field:
     """What the four coefficient fields share: identity from ``_ident()``,
-    no named generators, and the kernel domain of raw values that are the
-    elements themselves."""
+    no named generators, values of type ``_type`` that hold their raw value
+    (QQ's are Fractions instead), ``format`` through the raw value, and
+    arithmetic on lists of raw values.  The list methods call only the
+    field's own raw operations, so they serve UniPoly over any field and
+    every level of a tower."""
 
     def _ident(self):
         return ()
@@ -129,135 +128,103 @@ class Field:
             name, k = f"{stem}{k}", k + 1
         return name
 
-    def to_raw(self, a):
-        return a
-
-    from_raw = to_raw
-
-    def submul(self, acc, c, t):
-        return -(c * t) if acc is None else acc - c * t
-
-    def mul(self, a, b):
-        return a * b
-
-    def inv(self, a):
-        return a.inverse()
-
-
-class RationalField(Field):
-    """The field Q.  Elements are plain ``fractions.Fraction`` values."""
-
-    characteristic = 0
-    _one = Fraction(1)
-
     def zero(self):
-        return Fraction(0)
+        return self.from_raw(self.raw_zero)
 
     def one(self):
         return self._one
 
-    def from_int(self, n):
-        return Fraction(n)
-
-    def coerce(self, x):
-        if isinstance(x, Fraction):
-            return x
-        if isinstance(x, int):
-            return Fraction(x)
-        raise IncompatibleFieldError(f"cannot coerce {x!r} into QQ")
-
-    def format(self, a):
-        return str(a)
-
     def to_raw(self, a):
-        return (a.numerator, a.denominator) if a else None
+        return a.raw
 
     def from_raw(self, r):
-        return Fraction(*r) if r else Fraction(0)
-
-    # Cross-reduced product and gcd-pruned difference, as in fractions.
-    def mul(self, a, b):
-        (n1, d1), (n2, d2) = a, b
-        g1, g2 = gcd(n1, d2), gcd(n2, d1)
-        return (n1 // g1) * (n2 // g2), (d1 // g2) * (d2 // g1)
-
-    def submul(self, acc, c, t):
-        n, d = self.mul(c, t)
-        if acc is None:
-            return -n, d
-        g = gcd(acc[1], d)
-        s = acc[1] // g
-        n = acc[0] * (d // g) - n * s
-        g = gcd(n, g)
-        return (n // g, s * (d // g)) if n else None
-
-    def inv(self, a):
-        return a[::-1] if a[0] > 0 else (-a[1], -a[0])
-
-    def __repr__(self):
-        return "QQ"
-
-
-QQ = RationalField()
-
-
-class PrimeField(Field):
-    """F_p for a prime p below 2**64."""
-
-    def __init__(self, p):
-        if not isinstance(p, int) or not _is_prime(p):
-            raise ValueError(f"{p} is not prime")
-        if p >= _WORD_LIMIT:
-            raise ValueError("prime-field moduli are limited to machine-word size")
-        self.p = p
-        self.characteristic = p
-        self._one = PrimeFieldElem(1, self)
-
-    def zero(self):
-        return PrimeFieldElem(0, self)
-
-    def one(self):
-        return self._one
-
-    def from_int(self, n):
-        return PrimeFieldElem(n, self)
-
-    def coerce(self, x):
-        if isinstance(x, PrimeFieldElem):
-            if x.field != self:
-                raise IncompatibleFieldError(f"element of {x.field!r} used in {self!r}")
-            return x
-        if isinstance(x, int):
-            return self.from_int(x)
-        raise IncompatibleFieldError(f"cannot coerce {x!r} into {self!r}")
+        v = object.__new__(self._type)
+        v.field, v.raw = self, r
+        return v
 
     def format(self, a):
-        return str(a.value)
+        return self.format_raw(self.to_raw(a))
 
-    def to_raw(self, a):
-        return a.value
+    def padd(self, a, b):
+        if len(a) < len(b):
+            a, b = b, a
+        out = [*map(self.add, a, b), *a[len(b):]]
+        return _trim(out) if len(a) == len(b) else tuple(out)
 
-    def from_raw(self, r):
-        return PrimeFieldElem(r, self)
+    def pneg(self, a):
+        return tuple(map(self.neg, a))
 
-    def submul(self, acc, c, t):
-        return ((acc or 0) - c * t) % self.p
+    def pscale(self, a, c):
+        mul = self.mul
+        return tuple([mul(x, c) if x else x for x in a])
 
-    def mul(self, a, b):
-        return a * b % self.p
+    def pmul(self, a, b):
+        if len(a) > len(b):
+            a, b = b, a
+        if len(a) < 2:
+            return b if a == (self.raw_one,) else a and self.pscale(b, a[0])
+        submul, neg = self.submul, self.neg
+        out = [self.raw_zero] * (len(a) + len(b) - 1)
+        right = [(j, c) for j, c in enumerate(b) if c]
+        for i, c in enumerate(a):
+            if c:
+                c = neg(c)  # submul subtracts: out += c * d
+                for j, d in right:
+                    out[i + j] = submul(out[i + j], c, d)
+        return _trim(out)
 
-    def inv(self, a):
-        return pow(a, -1, self.p)
+    def pdivmod(self, a, b):
+        """(q, r) with a = q*b + r and deg r < deg b.  By a monic b a
+        quotient term is the remainder's lead itself; a step touches only
+        b's nonzero coefficients below its lead."""
+        if not b:
+            raise ZeroDivisionError("polynomial division by zero")
+        d = len(b) - 1
+        if len(a) <= d:
+            return (), a
+        inv = None if b[-1] == self.raw_one else self.inv(b[-1])
+        below = [(i, c) for i, c in enumerate(b[:-1]) if c]
+        submul, mul = self.submul, self.mul
+        rem, quo = list(a), [self.raw_zero] * (len(a) - d)
+        for k in reversed(range(len(quo))):
+            q = rem.pop()
+            if q:
+                quo[k] = q = q if inv is None else mul(q, inv)
+                for i, c in below:
+                    rem[k + i] = submul(rem[k + i], q, c)
+        return _trim(quo), _trim(rem)
 
-    def _ident(self):
-        return (self.p,)
+    def pmonic(self, a):
+        return a if not a or a[-1] == self.raw_one else self.pscale(a, self.inv(a[-1]))
 
-    def __repr__(self):
-        return f"GF({self.p})"
+    def pgcd(self, a, b):
+        """The monic gcd, by Euclid on monic remainders."""
+        while b:
+            b = self.pmonic(b)
+            a, b = b, self.pdivmod(a, b)[1]
+        return self.pmonic(a)
+
+    def pinverse(self, a, m):
+        """(g, s): g the last nonzero remainder of Euclid on (a, m) and
+        s*a = g modulo m, deg s < deg m."""
+        r0, r1, s0, s1 = a, m, (self.raw_one,), ()
+        while r1:
+            q, r = self.pdivmod(r0, r1)
+            r0, r1 = r1, r
+            s0, s1 = s1, self.padd(s0, self.pneg(self.pmul(q, s1)))
+        return r0, s0
+
+    def ptext(self, p, var):
+        """A list as text in var, highest degree first."""
+        monos = ["", var, *(f"{var}^{i}" for i in range(2, len(p)))]
+        terms = [(c, monos[i]) for i, c in reversed(tuple(enumerate(p))) if c]
+        return format_terms(terms, self.format_raw)
 
 
-def GF(p):
-    return PrimeField(p)
+def _trim(out):
+    while out and not out[-1]:
+        out.pop()
+    return tuple(out)
 
 
 class RingValue:
@@ -357,103 +324,223 @@ class FieldValue(RingValue):
         return self.field.format(self)
 
 
-class PrimeFieldElem(FieldValue):
-    __slots__ = ("value", "field")
+class RawValue(FieldValue):
+    """A value of GF(p) or of a tower, held as its field's raw value
+    ``raw``: each operator is one raw operation of the field."""
 
-    def __init__(self, value, field):
-        self.value = value % field.p
-        self.field = field
+    __slots__ = ("field", "raw")
 
+    # The same field's values skip _lift: one raw operation, one object.
     def __add__(self, other):
-        other = self._lift(other)
-        if other is None:
-            return NotImplemented
-        return PrimeFieldElem(self.value + other.value, self.field)
+        field = self.field
+        if type(other) is not type(self) or other.field is not field:
+            if (lifted := self._lift(other)) is None:
+                return self._above(other, "__add__")
+            other = lifted
+        return field.from_raw(field.add(self.raw, other.raw))
 
     __radd__ = __add__
 
-    # Direct, not self + (-other): UniPoly.__divmod__ subtracts in its
-    # inner loop (rem[k + i] - q * c) under tower arithmetic, and this
-    # makes one object instead of two.
-    def __sub__(self, other):
-        other = self._lift(other)
-        if other is None:
-            return NotImplemented
-        return PrimeFieldElem(self.value - other.value, self.field)
+    def __neg__(self):
+        return self.field.from_raw(self.field.neg(self.raw))
 
     def __mul__(self, other):
-        other = self._lift(other)
-        if other is None:
-            return NotImplemented
-        return PrimeFieldElem(self.value * other.value, self.field)
+        field = self.field
+        if type(other) is not type(self) or other.field is not field:
+            if (lifted := self._lift(other)) is None:
+                return self._above(other, "__mul__")
+            other = lifted
+        if not self.raw or not other.raw:
+            return field.zero()
+        return field.from_raw(field.mul(self.raw, other.raw))
 
     __rmul__ = __mul__
 
-    def __neg__(self):
-        return PrimeFieldElem(-self.value, self.field)
-
-    # Modular pow is one builtin call in place of the square-and-multiply loop.
-    def __pow__(self, n):
-        if n < 0:
-            return super().__pow__(n)
-        return PrimeFieldElem(pow(self.value, n, self.field.p), self.field)
+    def _one(self):
+        return self.field.one()
 
     def inverse(self):
-        if self.value == 0:
-            raise NotInvertibleError(f"0 has no inverse in F_{self.field.p}")
-        return PrimeFieldElem(pow(self.value, -1, self.field.p), self.field)
+        if not self.raw:
+            raise NotInvertibleError("0 has no inverse")
+        return self.field.from_raw(self.field.inv(self.raw))
 
     def _key(self):
-        return self.value
+        return self.raw
 
     def __bool__(self):
-        return self.value != 0
+        return bool(self.raw)
 
     def __hash__(self):
-        return hash((self.value, self.field.p))
+        return self.field._hash(self.raw)
+
+
+class PrimeFieldElem(RawValue):
+    __slots__ = ()
+
+    def __init__(self, value, field):
+        self.field, self.raw = field, value % field.p
+
+
+class RationalField(Field):
+    """The field Q.  Elements are plain ``fractions.Fraction`` values."""
+
+    characteristic = 0
+    _one = Fraction(1)
+    raw_zero, raw_one = None, (1, 1)
+
+    def from_int(self, n):
+        return Fraction(n)
+
+    def coerce(self, x):
+        if isinstance(x, Fraction):
+            return x
+        if isinstance(x, int):
+            return Fraction(x)
+        raise IncompatibleFieldError(f"cannot coerce {x!r} into QQ")
+
+    def format(self, a):
+        return str(a)
+
+    def format_raw(self, r):
+        return "0" if not r else str(r[0]) if r[1] == 1 else f"{r[0]}/{r[1]}"
+
+    def to_raw(self, a):
+        return (a.numerator, a.denominator) if a else None
+
+    def from_raw(self, r):
+        return Fraction(*r) if r else Fraction(0)
+
+    # Cross-reduced product and gcd-pruned sum, as in fractions.
+    def mul(self, a, b):
+        (n1, d1), (n2, d2) = a, b
+        g1, g2 = gcd(n1, d2), gcd(n2, d1)
+        return (n1 // g1) * (n2 // g2), (d1 // g2) * (d2 // g1)
+
+    def add(self, a, b):
+        return self.submul(a, b, (-1, 1)) if b else a
+
+    def submul(self, acc, c, t):
+        n, d = self.mul(c, t)
+        if acc is None:
+            return -n, d
+        g = gcd(acc[1], d)
+        s = acc[1] // g
+        n = acc[0] * (d // g) - n * s
+        g = gcd(n, g)
+        return (n // g, s * (d // g)) if n else None
+
+    def neg(self, a):
+        return a and (-a[0], a[1])
+
+    def inv(self, a):
+        return a[::-1] if a[0] > 0 else (-a[1], -a[0])
+
+    def __repr__(self):
+        return "QQ"
+
+
+QQ = RationalField()
+
+
+class PrimeField(Field):
+    """F_p for a prime p below 2**64."""
+
+    _type = PrimeFieldElem
+    raw_zero, raw_one = 0, 1
+
+    def __init__(self, p):
+        if not isinstance(p, int) or not _is_prime(p):
+            raise ValueError(f"{p} is not prime")
+        if p >= _WORD_LIMIT:
+            raise ValueError("prime-field moduli are limited to machine-word size")
+        self.p = p
+        self.characteristic = p
+        self._one = self.from_raw(1)
+
+    def from_int(self, n):
+        return PrimeFieldElem(n, self)
+
+    def coerce(self, x):
+        if isinstance(x, PrimeFieldElem):
+            if x.field != self:
+                raise IncompatibleFieldError(f"element of {x.field!r} used in {self!r}")
+            return x
+        if isinstance(x, int):
+            return self.from_int(x)
+        raise IncompatibleFieldError(f"cannot coerce {x!r} into {self!r}")
+
+    def format_raw(self, r):
+        return str(r)
+
+    def add(self, a, b):
+        return (a + b) % self.p
+
+    def neg(self, a):
+        return -a % self.p
+
+    def submul(self, acc, c, t):
+        return ((acc or 0) - c * t) % self.p
+
+    def mul(self, a, b):
+        return a * b % self.p
+
+    def inv(self, a):
+        return pow(a, -1, self.p)
+
+    def _hash(self, r):
+        return hash((r, self.p))
+
+    def _ident(self):
+        return (self.p,)
+
+    def __repr__(self):
+        return f"GF({self.p})"
+
+
+def GF(p):
+    return PrimeField(p)
 
 
 class UniPoly(RingValue):
-    """Dense univariate polynomial over a coefficient field.
+    """Dense univariate polynomial over a coefficient field, at the boundary
+    of rational function fields and algebraic extensions: minimal
+    polynomials, and the ``num``/``den``/``rep`` views of their values.
+    ``raw`` is the list of the field's raw values, and the arithmetic is
+    the field's list methods, which tower values compute with too;
+    ``coeffs`` reads the list as field values."""
 
-    Used for the internals of rational function fields and algebraic
-    extensions.  The coefficient tuple is stored low degree first with no
-    trailing zeros.
-    """
-
-    __slots__ = ("field", "coeffs")
+    __slots__ = ("field", "raw")
 
     def __init__(self, field, coeffs):
-        coeffs = list(coeffs)
-        while coeffs and not coeffs[-1]:
-            coeffs.pop()
         self.field = field
-        self.coeffs = tuple(coeffs)
+        self.raw = _trim([field.to_raw(field.coerce(c)) for c in coeffs])
+
+    @classmethod
+    def _of(cls, field, raw):
+        p = object.__new__(cls)
+        p.field, p.raw = field, raw
+        return p
 
     @classmethod
     def const(cls, field, c):
-        return cls(field, [field.coerce(c)])
+        return cls(field, [c])
 
-    @classmethod
-    def gen(cls, field):
-        return cls(field, [field.zero(), field.one()])
+    @property
+    def coeffs(self):
+        return tuple(map(self.field.from_raw, self.raw))
 
     @property
     def degree(self):
-        return len(self.coeffs) - 1
+        return len(self.raw) - 1
 
     def is_zero(self):
-        return not self.coeffs
-
-    def is_one(self):
-        raw = self.field.to_raw
-        return len(self.coeffs) == 1 and raw(self.coeffs[0]) == raw(self.field.one())
+        return not self.raw
 
     @property
     def lead(self):
-        if not self.coeffs:
+        if not self.raw:
             raise ValueError("zero polynomial has no leading coefficient")
-        return self.coeffs[-1]
+        return self.field.from_raw(self.raw[-1])
 
     def _lift(self, other):
         if isinstance(other, UniPoly):
@@ -471,64 +558,30 @@ class UniPoly(RingValue):
         other = self._lift(other)
         if other is None:
             return NotImplemented
-        a, b = self.coeffs, other.coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
-        for i, c in enumerate(b):
-            out[i] = out[i] + c
-        return UniPoly(self.field, out)
+        return UniPoly._of(self.field, self.field.padd(self.raw, other.raw))
 
     __radd__ = __add__
 
     def __neg__(self):
-        return UniPoly(self.field, [-c for c in self.coeffs])
+        return UniPoly._of(self.field, self.field.pneg(self.raw))
 
     def __mul__(self, other):
         other = self._lift(other)
         if other is None:
             return NotImplemented
-        if self.is_zero() or other.is_zero():
-            return UniPoly(self.field, [])
-        out = [self.field.zero()] * (len(self.coeffs) + len(other.coeffs) - 1)
-        right = [(j, b) for j, b in enumerate(other.coeffs) if b]
-        for i, a in enumerate(self.coeffs):
-            if not a:
-                continue
-            for j, b in right:
-                out[i + j] = out[i + j] + a * b
-        return UniPoly(self.field, out)
+        return UniPoly._of(self.field, self.field.pmul(self.raw, other.raw))
 
     __rmul__ = __mul__
 
     def _one(self):
-        return UniPoly.const(self.field, self.field.one())
+        return UniPoly._of(self.field, (self.field.raw_one,))
 
     def __divmod__(self, other):
-        """(q, r), self = q*other + r, deg r < deg other.  By a monic divisor a
-        quotient term is the remainder's lead itself; a step touches only the
-        divisor's nonzero coefficients below its lead.  No value changes."""
+        """(q, r), self = q*other + r, deg r < deg other."""
         other = self._lift(other)
         if other is None:
             return NotImplemented
-        if other.is_zero():
-            raise ZeroDivisionError("polynomial division by zero")
-        lead_inv = None if other.lead == self.field.one() else invert(other.lead)
-        below = [(i, c) for i, c in enumerate(other.coeffs[:-1]) if c]
-        rem = list(self.coeffs)
-        quo = [self.field.zero()] * max(len(rem) - len(other.coeffs) + 1, 0)
-        d = other.degree
-        while len(rem) - 1 >= d and rem:
-            while rem and not rem[-1]:
-                rem.pop()
-            if len(rem) - 1 < d:
-                break
-            k = len(rem) - 1 - d
-            q = rem.pop() if lead_inv is None else rem.pop() * lead_inv
-            quo[k] = q
-            for i, c in below:
-                rem[k + i] = rem[k + i] - q * c
-        return UniPoly(self.field, quo), UniPoly(self.field, rem)
+        return tuple(UniPoly._of(self.field, p) for p in self.field.pdivmod(self.raw, other.raw))
 
     def __mod__(self, other):
         return divmod(self, other)[1]
@@ -536,27 +589,17 @@ class UniPoly(RingValue):
     def __floordiv__(self, other):
         return divmod(self, other)[0]
 
-    def monic(self):
-        if self.is_zero():
-            return self
-        li = invert(self.lead)
-        return UniPoly(self.field, [c * li for c in self.coeffs])
-
     def _key(self):
-        return self.coeffs, self.field
+        return self.raw, self.field
 
     def __bool__(self):
-        return bool(self.coeffs)
+        return bool(self.raw)
 
     def __hash__(self):
-        return hash(self.coeffs)
+        return hash(self.raw)
 
     def to_str(self, var):
-        return format_terms(
-            (c, monomial_text((var,), (i,)))
-            for i, c in reversed(tuple(enumerate(self.coeffs)))
-            if c
-        )
+        return self.field.ptext(self.raw, var)
 
     def __repr__(self):
         return self.to_str("T")
@@ -564,64 +607,77 @@ class UniPoly(RingValue):
 
 def uni_gcd(a, b):
     """Monic gcd in K[x]."""
-    while not b.is_zero():
-        a, b = b, a % b
-    if a.is_zero():
-        return a
-    return a.monic()
+    return UniPoly._of(a.field, a.field.pgcd(a.raw, b.raw))
 
 
-def uni_ext_gcd(a, b):
-    """(g, s, t) with s*a + t*b = g and g monic."""
-    field = a.field
-    zero = UniPoly(field, [])
-    one = UniPoly.const(field, field.one())
-    r0, r1 = a, b
-    s0, s1 = one, zero
-    t0, t1 = zero, one
-    while not r1.is_zero():
-        q, r = divmod(r0, r1)
-        r0, r1 = r1, r
-        s0, s1 = s1, s0 - q * s1
-        t0, t1 = t1, t0 - q * t1
-    if r0.is_zero():
-        return r0, s0, t0
-    li = invert(r0.lead)
-    scale = UniPoly.const(field, li)
-    return r0.monic(), s0 * scale, t0 * scale
+class RatFunc(RawValue):
+    """num/den with monic, gcd-reduced denominator, held raw as the pair of
+    lists (None for 0); ``num`` and ``den`` read them as UniPolys."""
+
+    __slots__ = ()
+
+    def __init__(self, field, num, den):
+        if den.is_zero():
+            raise ZeroDivisionError("rational function with zero denominator")
+        self.field = field
+        self.raw = field._reduced(num.raw, den.raw)
+
+    @property
+    def num(self):
+        return UniPoly._of(self.field.base, self.raw[0] if self.raw else ())
+
+    @property
+    def den(self):
+        return UniPoly._of(self.field.base, self.raw[1] if self.raw else (self.field.base.raw_one,))
+
+
+class AlgExtElem(RawValue):
+    """A residue modulo the minimal polynomial, held raw as its list;
+    ``rep`` reads it as a UniPoly."""
+
+    __slots__ = ()
+
+    def __init__(self, field, rep):
+        self.field = field
+        self.raw = field._from_list(rep.raw)
+
+    @property
+    def rep(self):
+        return UniPoly._of(self.field.base, self.raw)
 
 
 class TowerField(Field):
     """A field built on ``base`` by one generator ``var``: what
-    RatFuncField and AlgExtField share.  A type makes its values from a
-    ``UniPoly`` over the base with ``_from_poly``; the rest, the tower rule
-    of ``coerce`` included, is defined here once."""
+    RatFuncField and AlgExtField share.  A type makes its raw values from a
+    list over the base with ``_from_list``, names its value type ``_type``
+    and the base value a raw value is (None if none) with ``_base_value``;
+    the rest, the tower rule of ``coerce`` included, is defined here once."""
 
-    def __init__(self, base, var):
+    def __init__(self, base, var="t"):
         base.refuse_shadowing([var])
         self.base = base
         self.var = var
         self.characteristic = base.characteristic
-
-    def zero(self):
-        return self._from_poly(UniPoly(self.base, []))
-
-    def one(self):
-        return self._embed(self.base.one())
+        self.raw_one = self._from_list((base.raw_one,))
+        self._one = self.from_raw(self.raw_one)
 
     def from_int(self, n):
         return self._embed(self.base.from_int(n))
 
     def generator(self):
-        return self._from_poly(UniPoly.gen(self.base))
+        return self.from_raw(self._from_list((self.base.raw_zero, self.base.raw_one)))
 
     def _embed(self, b):
         """The value of this field that the base value b is."""
-        return self._from_poly(UniPoly(self.base, [b]))
+        b = self.base.to_raw(b)
+        return self.from_raw(self._from_list((b,) if b else ()))
 
-    def _base_hash(self, p):
-        """The hash of the base value that a UniPoly p of degree < 1 is."""
-        return hash(p.coeffs[0] if p.coeffs else self.base.zero())
+    def _hash(self, r):
+        b = self._base_value(r)
+        return hash(r) if b is None else hash(b)
+
+    def submul(self, acc, c, t):
+        return self.add(acc or self.raw_zero, self.neg(self.mul(c, t)))
 
     def coerce(self, x):
         """x itself if it is a value of this field, else the embedding of
@@ -637,28 +693,76 @@ class TowerField(Field):
 
 
 class RatFuncField(TowerField):
-    """Rational function field base(var), e.g. F_p(t) or Q(t)."""
+    """Rational function field base(var), e.g. F_p(t) or Q(t).  Sums and
+    products reduce as Henrici's do: by gcds of the denominators, or of
+    each numerator with the other denominator, not of the whole result."""
 
-    def __init__(self, base, var="t"):
-        super().__init__(base, var)
+    _type = RatFunc
+    raw_zero = None
 
-    def _from_poly(self, num):
-        return RatFunc(self, num, UniPoly(self.base, [self.base.one()]))
+    def _from_list(self, p):
+        return (p, (self.base.raw_one,)) if p else None
 
-    def format(self, a):
-        num, den = a.num, a.den
-        ns = num.to_str(self.var)
-        sign = ""
+    def _base_value(self, r):
+        if not r:
+            return self.base.zero()
+        n, d = r
+        return self.base.from_raw(n[0]) if len(n) == 1 == len(d) else None
+
+    def _over(self, n, d):
+        """(n, d) scaled so that d is monic."""
+        K = self.base
+        if d[-1] == K.raw_one:
+            return n, d
+        c = K.inv(d[-1])
+        return K.pscale(n, c), K.pscale(d, c)
+
+    def _reduced(self, n, d):
+        """The raw value n/d: over gcd(n, d), d monic."""
+        K = self.base
+        if not n:
+            return None
+        if len(d) > 1 and len(g := K.pgcd(n, d)) > 1:
+            n, d = K.pdivmod(n, g)[0], K.pdivmod(d, g)[0]
+        return self._over(n, d)
+
+    def add(self, a, b):
+        if not a or not b:
+            return a or b
+        K, (n1, d1), (n2, d2) = self.base, a, b
+        if d1 == d2:
+            return self._reduced(K.padd(n1, n2), d1)
+        g = K.pgcd(d1, d2) if len(d1) > 1 and len(d2) > 1 else ()
+        if len(g) < 2:  # coprime denominators: the cross sum is reduced
+            n = K.padd(K.pmul(n1, d2), K.pmul(n2, d1))
+            return (n, K.pmul(d1, d2)) if n else None
+        e1, e2 = K.pdivmod(d1, g)[0], K.pdivmod(d2, g)[0]
+        r = self._reduced(K.padd(K.pmul(n1, e2), K.pmul(n2, e1)), g)
+        return r and (r[0], K.pmul(K.pmul(e1, e2), r[1]))
+
+    def neg(self, a):
+        return a and (self.base.pneg(a[0]), a[1])
+
+    def mul(self, a, b):
+        K, (n1, d1), (n2, d2) = self.base, a, b
+        if len(d2) > 1 and len(g := K.pgcd(n1, d2)) > 1:
+            n1, d2 = K.pdivmod(n1, g)[0], K.pdivmod(d2, g)[0]
+        if len(d1) > 1 and len(g := K.pgcd(n2, d1)) > 1:
+            n2, d1 = K.pdivmod(n2, g)[0], K.pdivmod(d1, g)[0]
+        return K.pmul(n1, n2), K.pmul(d1, d2)
+
+    def inv(self, a):
+        return self._over(a[1], a[0])
+
+    def format_raw(self, r):
+        K = self.base
+        num, den = r or ((), (K.raw_one,))
+        ns, sign = K.ptext(num, self.var), ""
         if ns.startswith("-") and not _needs_parens(ns[1:]):
             sign, ns = "-", ns[1:]
-        if den.is_one():
+        if len(den) == 1:
             return sign + ns
-        ds = den.to_str(self.var)
-        if _needs_parens(ns):
-            ns = f"({ns})"
-        if _needs_parens(ds):
-            ds = f"({ds})"
-        return f"{sign}{ns}/{ds}"
+        return sign + "/".join(f"({s})" if _needs_parens(s) else s for s in (ns, K.ptext(den, self.var)))
 
     def _ident(self):
         return self.base, self.var
@@ -667,155 +771,49 @@ class RatFuncField(TowerField):
         return f"{self.base!r}({self.var})"
 
 
-class RatFunc(FieldValue):
-    """num/den with monic, gcd-reduced denominator.  ``+`` and ``*`` of two
-    values with denominator 1 keep it, as cross-multiplying would."""
-
-    __slots__ = ("field", "num", "den")
-
-    def __init__(self, field, num, den):
-        if den.is_zero():
-            raise ZeroDivisionError("rational function with zero denominator")
-        if not den.is_one():
-            g = uni_gcd(num, den)
-            if not g.is_zero() and not g.is_one():
-                num = num // g
-                den = den // g
-            if den.lead != den.field.one():
-                scale = UniPoly.const(den.field, invert(den.lead))
-                num = num * scale
-                den = den * scale
-        self.field = field
-        self.num = num
-        self.den = den
-
-    def __add__(self, other):
-        lifted = self._lift(other)
-        if lifted is None:
-            return self._above(other, "__add__")
-        if self.den.is_one() and lifted.den.is_one():
-            return RatFunc(self.field, self.num + lifted.num, self.den)
-        return RatFunc(
-            self.field,
-            self.num * lifted.den + lifted.num * self.den,
-            self.den * lifted.den,
-        )
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return RatFunc(self.field, -self.num, self.den)
-
-    def __mul__(self, other):
-        lifted = self._lift(other)
-        if lifted is None:
-            return self._above(other, "__mul__")
-        if self.den.is_one() and lifted.den.is_one():
-            return RatFunc(self.field, self.num * lifted.num, self.den)
-        return RatFunc(self.field, self.num * lifted.num, self.den * lifted.den)
-
-    __rmul__ = __mul__
-
-    # num^n/den^n is already reduced: one gcd, not one per multiplication.
-    def __pow__(self, n):
-        if n < 0:
-            return super().__pow__(n)
-        return RatFunc(self.field, self.num**n, self.den**n)
-
-    def inverse(self):
-        if self.num.is_zero():
-            raise NotInvertibleError("0 has no inverse")
-        return RatFunc(self.field, self.den, self.num)
-
-    def _key(self):
-        return self.num, self.den
-
-    def __bool__(self):
-        return not self.num.is_zero()
-
-    def __hash__(self):
-        if self.den.degree == 0 and self.num.degree < 1:  # den is monic: a base value
-            return self.field._base_hash(self.num)
-        return hash((self.num, self.den))
-
-
 class AlgExtField(TowerField):
-    """Simple extension base[u]/(m(u)); m monic, caller-certified irreducible."""
+    """Simple extension base[u]/(m(u)); m monic, caller-certified
+    irreducible.  Values add and negate as lists over the base."""
+
+    _type = AlgExtElem
+    raw_zero = ()
 
     def __init__(self, base, var, minpoly):
         if minpoly.degree < 1:
             raise ValueError("minimal polynomial must have degree >= 1")
-        if minpoly.lead != base.one():
+        if minpoly.raw[-1] != base.raw_one:
             raise ValueError("minimal polynomial must be monic")
-        super().__init__(base, var)
         self.minpoly = minpoly
+        self.add, self.neg = base.padd, base.pneg
+        super().__init__(base, var)
 
-    def _from_poly(self, rep):
-        return AlgExtElem(self, rep)
+    def _from_list(self, p):
+        return self.base.pdivmod(p, self.minpoly.raw)[1]
 
-    def format(self, a):
-        return a.rep.to_str(self.var)
+    def _base_value(self, r):
+        return self.base.from_raw(r[0] if r else self.base.raw_zero) if len(r) < 2 else None
+
+    def mul(self, a, b):
+        return self._from_list(self.base.pmul(a, b))
+
+    def inv(self, a):
+        g, s = self.base.pinverse(a, self.minpoly.raw)
+        if len(g) != 1:
+            # gcd(rep, m) nontrivial: m was not irreducible after all
+            raise InconsistentExtensionError(
+                f"zero divisor {self.format_raw(a)} in "
+                f"{self!r}; minimal polynomial is reducible"
+            )
+        return self.base.pscale(s, self.base.inv(g[0]))
+
+    def format_raw(self, r):
+        return self.base.ptext(r, self.var)
 
     def _ident(self):
         return self.base, self.var, self.minpoly
 
     def __repr__(self):
         return f"{self.base!r}[{self.var}]/({self.minpoly.to_str(self.var)})"
-
-
-class AlgExtElem(FieldValue):
-    __slots__ = ("field", "rep")
-
-    def __init__(self, field, rep):
-        if rep.degree >= field.minpoly.degree:
-            rep = rep % field.minpoly
-        self.field = field
-        self.rep = rep
-
-    def __add__(self, other):
-        lifted = self._lift(other)
-        if lifted is None:
-            return self._above(other, "__add__")
-        return AlgExtElem(self.field, self.rep + lifted.rep)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return AlgExtElem(self.field, -self.rep)
-
-    def __mul__(self, other):
-        lifted = self._lift(other)
-        if lifted is None:
-            return self._above(other, "__mul__")
-        return AlgExtElem(self.field, (self.rep * lifted.rep) % self.field.minpoly)
-
-    __rmul__ = __mul__
-
-    def _one(self):
-        return self.field.one()
-
-    def inverse(self):
-        if self.rep.is_zero():
-            raise NotInvertibleError("0 has no inverse")
-        g, s, _ = uni_ext_gcd(self.rep, self.field.minpoly)
-        if g.degree != 0:
-            # gcd(rep, m) nontrivial: m was not irreducible after all
-            raise InconsistentExtensionError(
-                f"zero divisor {self.field.format(self)} in "
-                f"{self.field!r}; minimal polynomial is reducible"
-            )
-        return AlgExtElem(self.field, s % self.field.minpoly)
-
-    def _key(self):
-        return self.rep
-
-    def __bool__(self):
-        return not self.rep.is_zero()
-
-    def __hash__(self):
-        if self.rep.degree < 1:
-            return self.field._base_hash(self.rep)
-        return hash(("ext", self.rep))
 
 
 def field_of(x):
@@ -842,16 +840,18 @@ def extends(big, small):
 
 def _needs_parens(s):
     """A formatted coefficient needs parentheses inside a product when it
-    contains a top-level + or - (a leading minus counts)."""
+    contains a top-level + or - (a leading minus counts).  With no sign
+    after the first character, which covers every QQ and GF(p) coefficient,
+    only a leading minus can count."""
+    if "+" not in s and "-" not in s[1:]:
+        return s[:1] == "-"
     depth = 0
     for i, ch in enumerate(s):
         if ch == "(":
             depth += 1
         elif ch == ")":
             depth -= 1
-        elif ch in "+-" and depth == 0 and i > 0:
-            return True
-        elif ch == "-" and i == 0 and depth == 0:
+        elif depth == 0 and (ch == "-" or ch == "+" and i > 0):
             return True
     return False
 
@@ -861,18 +861,18 @@ def monomial_text(names, exps):
     return "*".join(n if e == 1 else f"{n}^{e}" for n, e in zip(names, exps) if e)
 
 
-def format_terms(terms):
+def format_terms(terms, fmt=format_elem):
     """Signed sum of (coefficient, monomial text) pairs in display order,
-    'c*m + ... - c*m'; an empty monomial text marks the constant term, and
-    no pairs format as '0'.  Coefficients with a top-level sign go in
-    parentheses."""
+    'c*m + ... - c*m', each coefficient printed by fmt; an empty monomial
+    text marks the constant term, and no pairs format as '0'.  Coefficients
+    with a top-level sign go in parentheses."""
     out = ""
     for c, mono in terms:
-        cs = format_elem(c)
+        cs = fmt(c)
         sign = "+"
         if cs.startswith("-") and not _needs_parens(cs[1:]):
             sign, cs = "-", cs[1:]
-        if _needs_parens(cs):
+        elif _needs_parens(cs):
             cs = f"({cs})"
         if not mono:
             body = cs

@@ -403,11 +403,14 @@ class Ideal:
 
             pk = _Packing(self.order, _width(chain.from_iterable(gens)))
             self._records = pk, recs = _widening(pk, build)
-            one = dom.to_raw(dom.one())
-            self._gb = tuple(
-                Polynomial(self.ring, pk.unpack_terms(((lt, one),) + tail, dom.from_raw))
-                for lt, _, _, tail in recs
-            )
+            if self._reduced:  # the generators themselves, in record order
+                self._gb = tuple(sorted(self.generators, key=lambda g: -min(map(pk.pack, g.terms))))
+            else:
+                one = dom.to_raw(dom.one())
+                self._gb = tuple(
+                    Polynomial(self.ring, pk.unpack_terms(((lt, one),) + tail, dom.from_raw))
+                    for lt, _, _, tail in recs
+                )
         return self._gb
 
     def _packed_basis(self):

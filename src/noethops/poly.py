@@ -206,15 +206,22 @@ class Polynomial(RingValue):
         other = self._lift(other)
         if other is None:
             return NotImplemented
-        right = other.terms.items()
-        out = add_into({}, (
-            (monomial_mul(m1, m2), c1 * c2)
-            for m1, c1 in self.terms.items()
-            for m2, c2 in right
-        ))
+        left, right = self.terms.items(), other.terms.items()
+        if len(left) == 1 or len(right) == 1:
+            # x^m is injective on monomials: no two products merge
+            ((m2, c2),), many = (left, right) if len(left) == 1 else (right, left)
+            return Polynomial(self.ring, {monomial_mul(m1, m2): c for m1, c1 in many if (c := c1 * c2)})
+        out = add_into({}, ((monomial_mul(m1, m2), c1 * c2) for m1, c1 in left for m2, c2 in right))
         return Polynomial(self.ring, out)
 
     __rmul__ = __mul__
+
+    def __pow__(self, n):
+        if len(self.terms) != 1 or n < 0:
+            return super().__pow__(n)
+        ((m, c),) = self.terms.items()
+        c = c**n
+        return Polynomial(self.ring, {tuple(e * n for e in m): c} if c else {})
 
     def _one(self):
         return self.ring.one()
@@ -343,21 +350,18 @@ def tokenize(text, symbols="+-*/^(),"):
     """Token list of (kind, value, position)."""
     text = text.rstrip()  # trailing whitespace would backtrack into (.)
     tokens = []
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if not m:
-            break
-        if m.group(1) is not None:
-            tokens.append((INT, int(m.group(1)), m.start(1)))
-        elif m.group(2) is not None:
-            tokens.append((NAME, m.group(2), m.start(2)))
+    # every match ends where the next begins: one pass reads the whole text
+    for m in _TOKEN_RE.finditer(text):
+        kind = m.lastindex
+        value, pos = m[kind], m.start(kind)
+        if kind == 1:
+            tokens.append((INT, int(value), pos))
+        elif kind == 2:
+            tokens.append((NAME, value, pos))
+        elif value in symbols:
+            tokens.append((SYM, value, pos))
         else:
-            ch = m.group(3)
-            if ch not in symbols:
-                raise ParseError(f"unexpected character {ch!r}", m.start(3))
-            tokens.append((SYM, ch, m.start(3)))
-        pos = m.end()
+            raise ParseError(f"unexpected character {value!r}", pos)
     tokens.append((END, None, len(text)))
     return tokens
 

@@ -77,16 +77,34 @@ def test_invert_examples():
     assert b.den.lead == GF(2).one()
 
 
-@pytest.mark.parametrize("field", [GF(32003), GF(2), QQ, F5T], ids=repr)
+def _f3t_cube_root():
+    # F_3(t)[u] / (u^3 - t)
+    F3T = RatFuncField(GF(3), "t")
+    t = F3T.generator()
+    return AlgExtField(F3T, "u", UniPoly(F3T, [-t, F3T.zero(), F3T.zero(), F3T.one()]))
+
+
+RAW_DOMAIN_FIELDS = [
+    GF(32003), GF(2), QQ, F5T, QT, RatFuncField(F5T, "s"),
+    AlgExtField(QQ, "v", UniPoly(QQ, [Fraction(-2), Fraction(0), Fraction(1)])),
+    _f3t_cube_root(),
+]
+
+
+@pytest.mark.parametrize("field", RAW_DOMAIN_FIELDS, ids=repr)
 def test_raw_domain_matches_wrapped_arithmetic(field):
-    """The Groebner kernel's raw operations agree with element arithmetic,
-    return canonical raw values, and give a falsy value exactly for zero."""
+    """The raw operations that the Groebner kernel and tower arithmetic
+    compute with agree with element arithmetic, return canonical raw values
+    that convert back to the same values, and give a falsy value exactly
+    for zero; a base value lifted into a tower hashes as it did."""
     rng = random.Random(f"raw-domain-{field!r}")
     raw, back = field.to_raw, field.from_raw
     zero = field.zero()
+    assert not raw(zero) and back(raw(zero)) == zero
     cancelled = 0
     for _ in range(300):
         c, t = random_nonzero(field, rng), random_nonzero(field, rng)
+        assert raw(c) and back(raw(c)) == c
         acc = rng.choice([None, zero, c * t, random_elem(field, rng)])
         s = field.submul(None if acc is None else raw(acc), raw(c), raw(t))
         want = (zero if acc is None else acc) - c * t
@@ -95,7 +113,11 @@ def test_raw_domain_matches_wrapped_arithmetic(field):
         for r, value in ((s, want), (field.mul(raw(c), raw(t)), c * t),
                          (field.inv(raw(c)), invert(c))):
             assert back(r) == value
-            assert raw(back(r)) == r  # canonical: ints in [0, p), reduced pairs
+            assert raw(back(r)) == r  # canonical: equal values, equal raw values
+        if isinstance(field, (RatFuncField, AlgExtField)):
+            b = random_elem(field.base, rng)
+            lifted = field.coerce(b)
+            assert lifted == b and hash(lifted) == hash(b) and bool(raw(lifted)) == bool(b)
     assert cancelled > 10
 
 

@@ -398,8 +398,30 @@ def _f3t_tower():
     return AlgExtField(K, "u", UniPoly(K, [-t, K.zero(), K.zero(), K.one()]))
 
 
-# Fields whose kernel values are the elements themselves: reduced bases
-# and one normal form, captured before the kernel computed on raw values.
+@pytest.mark.parametrize("field", [
+    QQ, GF(7), RatFuncField(GF(3), "t"),
+    AlgExtField(QQ, "v", UniPoly(QQ, [QQ.from_int(-2), QQ.zero(), QQ.one()])),
+], ids=["QQ", "GF(7)", "F3(t)", "QQ[v]/(v^2 - 2)"])
+@pytest.mark.parametrize("kind", ["grevlex", "lex"])
+def test_a_reduced_ideal_is_its_own_buchberger_basis(field, kind):
+    # Ideal(..., reduced=True) takes its generators as the basis and lists
+    # them in the order the Buchberger basis of the same generators has
+    rng = random.Random(f"reduced-{field!r}-{kind}")
+    ring = PolyRing(field, ["x", "y", "z"])
+    order = getattr(MonomialOrder, kind)(ring)
+    for _ in range(4):
+        gens = [random_nonzero_poly(ring, rng, max_degree=2) for _ in range(rng.randint(1, 3))]
+        basis = ideal(ring, *gens, order=order).groebner_basis
+        given = list(basis)
+        rng.shuffle(given)
+        reduced = Ideal(ring, given, order, reduced=True)
+        assert reduced.groebner_basis == basis
+        assert [str(g) for g in reduced.groebner_basis] == [str(g) for g in basis]
+        assert all(any(g is h for h in given) for g in reduced.groebner_basis)
+
+
+# Tower fields: reduced bases and one normal form, captured while the
+# kernel still computed on wrapped tower values.
 @pytest.mark.parametrize("field, gens, basis, f, remainder", [
     (RatFuncField(GF(5), "t"), ("t*x^2 + y^2 - 1", "x*y - t - 1"),
      ["x*y + (4*t + 4)", "x^2 + 1/t*y^2 + 4/t", "y^3 + (t^2 + t)*x + 4*y"],

@@ -161,6 +161,41 @@ def test_diff_multi_against_stepwise_oracle(make_field, cases):
         assert (f * g).diff_multi(beta) == leibniz
 
 
+ONE_TERM_FIELDS = [
+    pytest.param(lambda: QQ, id="QQ"),
+    pytest.param(lambda: GF(7), id="GF(7)"),
+    pytest.param(_f3t, id="F_3(t)"),
+    pytest.param(_f3t_u, id="F_3(t)[u]/(u^3 - t)"),
+]
+
+
+@pytest.mark.parametrize("make_field", ONE_TERM_FIELDS)
+def test_one_term_products_and_powers_match_the_general_rules(make_field):
+    """A product with a one-term operand maps the other operand's monomials
+    and a power of one term powers its coefficient once; both agree with
+    the term-by-term product and repeated multiplication."""
+    rng = random.Random(f"one-term-{make_field()!r}")
+    ring = PolyRing(make_field(), ["x", "y", "z"])
+
+    def product_by_terms(f, g):
+        out = ring.zero()
+        for (m1, c1), (m2, c2) in product(f.terms.items(), g.terms.items()):
+            out = out + ring.poly({tuple(map(sum, zip(m1, m2))): c1 * c2})
+        return out
+
+    for _ in range(20):
+        f = random_poly(ring, rng, max_degree=4, max_terms=5)
+        term = random_poly(ring, rng, max_degree=4, max_terms=1)
+        for a, b in ((term, f), (f, term), (term, term)):
+            assert a * b == product_by_terms(a, b)
+        power = ring.one()
+        for n in range(6):
+            assert term**n == power
+            power = product_by_terms(power, term)
+        c = random_elem(ring.field, rng)
+        assert c * f == product_by_terms(ring.const(c), f) and f * c == c * f
+
+
 def test_evaluate():
     f = x**2 + y
     assert f.evaluate([1, 2]) == 3
