@@ -33,20 +33,17 @@ for ``AlgExtField`` (``()`` for 0).  ``to_raw``/``from_raw`` convert;
 ``add``, ``neg``, ``submul(acc, c, t)`` (acc - c*t, a falsy acc is 0),
 ``mul`` and ``inv`` (of nonzero values) compute, and the list methods
 ``padd`` ... ``pinverse`` are written once on them, so towers compose level
-by level and :class:`UniPoly` shares them.  The Groebner kernel and
-``linalg.kernel_basis`` compute on raw values; a value of ``GF(p)`` or of
-a tower (:class:`RawValue`) holds its raw value.
+by level.  The Groebner kernel and ``linalg.kernel_basis`` compute on raw
+values.
 
-Every exact value type other than ``Fraction`` derives its operators from
-one of two bases.  :class:`RingValue` gives ``-``, reflected ``-``, ``==``
-and ``**`` by square-and-multiply; :class:`FieldValue` adds ``/``,
-reflected ``/``, negative powers, ``_lift`` through the value's ``field``
-and ``repr`` through its ``format``.  A type defines ``+``, unary ``-``,
-``*`` (each hands an operand that ``_lift`` refuses with None to
-``_above``), ``_key()`` (what ``==`` compares), ``_one()`` (where ``**`` starts)
-unless it overrides ``**``, ``_lift`` (the other operand as a value of its
-own type, or None) unless it is a field value, ``inverse()`` if it is one,
-and its own ``__hash__`` if it is hashable.
+A value of ``GF(p)`` or of a tower is one class, :class:`FieldValue`: its
+``field`` and its raw value ``raw``, each operator one raw operation of the
+field.  :class:`RingValue` is the base it shares with ``Polynomial``:
+``-``, reflected ``-``, ``==`` and ``**`` by square-and-multiply from a
+type's ``_lift``, ``+``, unary ``-``, ``*``, ``_key()`` and ``_one()``.
+:class:`UniPoly` is a boundary type, not a value: a list of raw values
+over a field, which names a minimal polynomial and is what ``to_unipoly``
+returns; it compares and prints but does not compute.
 """
 
 from fractions import Fraction
@@ -94,11 +91,10 @@ def _is_prime(n):
 
 class Field:
     """What the four coefficient fields share: identity from ``_ident()``,
-    no named generators, values of type ``_type`` that hold their raw value
-    (QQ's are Fractions instead), ``format`` through the raw value, and
-    arithmetic on lists of raw values.  The list methods call only the
-    field's own raw operations, so they serve UniPoly over any field and
-    every level of a tower."""
+    no named generators, values that hold their raw value (QQ's are
+    Fractions instead), ``format`` through the raw value, and arithmetic on
+    lists of raw values.  The list methods call only the field's own raw
+    operations, so they serve every level of a tower."""
 
     def _ident(self):
         return ()
@@ -138,7 +134,7 @@ class Field:
         return a.raw
 
     def from_raw(self, r):
-        v = object.__new__(self._type)
+        v = object.__new__(FieldValue)
         v.field, v.raw = self, r
         return v
 
@@ -278,16 +274,17 @@ class RingValue:
 
 
 class FieldValue(RingValue):
-    """A ring value whose nonzero values invert: adds ``/``, reflected
-    ``/`` and negative powers through the type's ``inverse``."""
+    """A value of GF(p) or of a tower, held as its field's raw value
+    ``raw``: each operator is one raw operation of the field, and nonzero
+    values invert, which gives ``/``, reflected ``/`` and negative powers."""
 
-    __slots__ = ()
+    __slots__ = ("field", "raw")
 
     def _lift(self, other):
         """other as a value of this field: itself if it is one, lifted if
         its field lies below; None for a value of a field above (``_above``
         or the reflected operator lifts self) or for no field value at all."""
-        if type(other) is type(self) and other.field is self.field:
+        if type(other) is FieldValue and other.field is self.field:
             return other
         try:
             return self.field.coerce(other)
@@ -298,10 +295,36 @@ class FieldValue(RingValue):
 
     def _above(self, other, op):
         # Python does not reflect an operator between two values of one
-        # type, so a value of a field above lifts self here.
-        if type(other) is not type(self):
+        # class, so a value of a field above lifts self here.
+        if not isinstance(other, FieldValue):
             return NotImplemented
         return getattr(other.field.coerce(self), op)(other)
+
+    # The same field's values skip _lift: one raw operation, one object.
+    def __add__(self, other):
+        field = self.field
+        if type(other) is not FieldValue or other.field is not field:
+            if (lifted := self._lift(other)) is None:
+                return self._above(other, "__add__")
+            other = lifted
+        return field.from_raw(field.add(self.raw, other.raw))
+
+    __radd__ = __add__
+
+    def __neg__(self):
+        return self.field.from_raw(self.field.neg(self.raw))
+
+    def __mul__(self, other):
+        field = self.field
+        if type(other) is not FieldValue or other.field is not field:
+            if (lifted := self._lift(other)) is None:
+                return self._above(other, "__mul__")
+            other = lifted
+        if not self.raw or not other.raw:
+            return field.zero()
+        return field.from_raw(field.mul(self.raw, other.raw))
+
+    __rmul__ = __mul__
 
     def __truediv__(self, other):
         lifted = self._lift(other)
@@ -320,42 +343,6 @@ class FieldValue(RingValue):
             return self.inverse() ** (-n)
         return super().__pow__(n)
 
-    def __repr__(self):
-        return self.field.format(self)
-
-
-class RawValue(FieldValue):
-    """A value of GF(p) or of a tower, held as its field's raw value
-    ``raw``: each operator is one raw operation of the field."""
-
-    __slots__ = ("field", "raw")
-
-    # The same field's values skip _lift: one raw operation, one object.
-    def __add__(self, other):
-        field = self.field
-        if type(other) is not type(self) or other.field is not field:
-            if (lifted := self._lift(other)) is None:
-                return self._above(other, "__add__")
-            other = lifted
-        return field.from_raw(field.add(self.raw, other.raw))
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return self.field.from_raw(self.field.neg(self.raw))
-
-    def __mul__(self, other):
-        field = self.field
-        if type(other) is not type(self) or other.field is not field:
-            if (lifted := self._lift(other)) is None:
-                return self._above(other, "__mul__")
-            other = lifted
-        if not self.raw or not other.raw:
-            return field.zero()
-        return field.from_raw(field.mul(self.raw, other.raw))
-
-    __rmul__ = __mul__
-
     def _one(self):
         return self.field.one()
 
@@ -373,12 +360,8 @@ class RawValue(FieldValue):
     def __hash__(self):
         return self.field._hash(self.raw)
 
-
-class PrimeFieldElem(RawValue):
-    __slots__ = ()
-
-    def __init__(self, value, field):
-        self.field, self.raw = field, value % field.p
+    def __repr__(self):
+        return self.field.format(self)
 
 
 class RationalField(Field):
@@ -445,7 +428,6 @@ QQ = RationalField()
 class PrimeField(Field):
     """F_p for a prime p below 2**64."""
 
-    _type = PrimeFieldElem
     raw_zero, raw_one = 0, 1
 
     def __init__(self, p):
@@ -458,10 +440,10 @@ class PrimeField(Field):
         self._one = self.from_raw(1)
 
     def from_int(self, n):
-        return PrimeFieldElem(n, self)
+        return self.from_raw(n % self.p)
 
     def coerce(self, x):
-        if isinstance(x, PrimeFieldElem):
+        if isinstance(x, FieldValue) and isinstance(x.field, PrimeField):
             if x.field != self:
                 raise IncompatibleFieldError(f"element of {x.field!r} used in {self!r}")
             return x
@@ -501,29 +483,17 @@ def GF(p):
     return PrimeField(p)
 
 
-class UniPoly(RingValue):
-    """Dense univariate polynomial over a coefficient field, at the boundary
-    of rational function fields and algebraic extensions: minimal
-    polynomials, and the ``num``/``den``/``rep`` views of their values.
-    ``raw`` is the list of the field's raw values, and the arithmetic is
-    the field's list methods, which tower values compute with too;
-    ``coeffs`` reads the list as field values."""
+class UniPoly:
+    """A dense univariate polynomial over a field, at the boundary: a
+    minimal polynomial, or what ``to_unipoly`` returns.  ``raw`` is the list
+    of the field's raw values, ``coeffs`` reads it as field values; it
+    compares and prints, and the field's list methods compute."""
 
     __slots__ = ("field", "raw")
 
     def __init__(self, field, coeffs):
         self.field = field
         self.raw = _trim([field.to_raw(field.coerce(c)) for c in coeffs])
-
-    @classmethod
-    def _of(cls, field, raw):
-        p = object.__new__(cls)
-        p.field, p.raw = field, raw
-        return p
-
-    @classmethod
-    def const(cls, field, c):
-        return cls(field, [c])
 
     @property
     def coeffs(self):
@@ -533,67 +503,10 @@ class UniPoly(RingValue):
     def degree(self):
         return len(self.raw) - 1
 
-    def is_zero(self):
-        return not self.raw
-
-    @property
-    def lead(self):
-        if not self.raw:
-            raise ValueError("zero polynomial has no leading coefficient")
-        return self.field.from_raw(self.raw[-1])
-
-    def _lift(self, other):
-        if isinstance(other, UniPoly):
-            if other.field is not self.field and other.field != self.field:
-                raise IncompatibleFieldError(
-                    f"polynomials over {other.field!r} and {self.field!r} mixed"
-                )
-            return other
-        try:
-            return UniPoly.const(self.field, other)
-        except IncompatibleFieldError:
-            return None
-
-    def __add__(self, other):
-        other = self._lift(other)
-        if other is None:
+    def __eq__(self, other):
+        if not isinstance(other, UniPoly):
             return NotImplemented
-        return UniPoly._of(self.field, self.field.padd(self.raw, other.raw))
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return UniPoly._of(self.field, self.field.pneg(self.raw))
-
-    def __mul__(self, other):
-        other = self._lift(other)
-        if other is None:
-            return NotImplemented
-        return UniPoly._of(self.field, self.field.pmul(self.raw, other.raw))
-
-    __rmul__ = __mul__
-
-    def _one(self):
-        return UniPoly._of(self.field, (self.field.raw_one,))
-
-    def __divmod__(self, other):
-        """(q, r), self = q*other + r, deg r < deg other."""
-        other = self._lift(other)
-        if other is None:
-            return NotImplemented
-        return tuple(UniPoly._of(self.field, p) for p in self.field.pdivmod(self.raw, other.raw))
-
-    def __mod__(self, other):
-        return divmod(self, other)[1]
-
-    def __floordiv__(self, other):
-        return divmod(self, other)[0]
-
-    def _key(self):
-        return self.raw, self.field
-
-    def __bool__(self):
-        return bool(self.raw)
+        return self.raw == other.raw and self.field == other.field
 
     def __hash__(self):
         return hash(self.raw)
@@ -605,53 +518,12 @@ class UniPoly(RingValue):
         return self.to_str("T")
 
 
-def uni_gcd(a, b):
-    """Monic gcd in K[x]."""
-    return UniPoly._of(a.field, a.field.pgcd(a.raw, b.raw))
-
-
-class RatFunc(RawValue):
-    """num/den with monic, gcd-reduced denominator, held raw as the pair of
-    lists (None for 0); ``num`` and ``den`` read them as UniPolys."""
-
-    __slots__ = ()
-
-    def __init__(self, field, num, den):
-        if den.is_zero():
-            raise ZeroDivisionError("rational function with zero denominator")
-        self.field = field
-        self.raw = field._reduced(num.raw, den.raw)
-
-    @property
-    def num(self):
-        return UniPoly._of(self.field.base, self.raw[0] if self.raw else ())
-
-    @property
-    def den(self):
-        return UniPoly._of(self.field.base, self.raw[1] if self.raw else (self.field.base.raw_one,))
-
-
-class AlgExtElem(RawValue):
-    """A residue modulo the minimal polynomial, held raw as its list;
-    ``rep`` reads it as a UniPoly."""
-
-    __slots__ = ()
-
-    def __init__(self, field, rep):
-        self.field = field
-        self.raw = field._from_list(rep.raw)
-
-    @property
-    def rep(self):
-        return UniPoly._of(self.field.base, self.raw)
-
-
 class TowerField(Field):
     """A field built on ``base`` by one generator ``var``: what
     RatFuncField and AlgExtField share.  A type makes its raw values from a
-    list over the base with ``_from_list``, names its value type ``_type``
-    and the base value a raw value is (None if none) with ``_base_value``;
-    the rest, the tower rule of ``coerce`` included, is defined here once."""
+    list over the base with ``_from_list`` and names the base value a raw
+    value is (None if none) with ``_base_value``; the rest, the tower rule
+    of ``coerce`` included, is defined here once."""
 
     def __init__(self, base, var="t"):
         base.refuse_shadowing([var])
@@ -697,7 +569,6 @@ class RatFuncField(TowerField):
     products reduce as Henrici's do: by gcds of the denominators, or of
     each numerator with the other denominator, not of the whole result."""
 
-    _type = RatFunc
     raw_zero = None
 
     def _from_list(self, p):
@@ -775,7 +646,6 @@ class AlgExtField(TowerField):
     """Simple extension base[u]/(m(u)); m monic, caller-certified
     irreducible.  Values add and negate as lists over the base."""
 
-    _type = AlgExtElem
     raw_zero = ()
 
     def __init__(self, base, var, minpoly):

@@ -24,6 +24,7 @@ from operator import sub
 from .errors import (
     ArityMismatchError,
     IncompatibleFieldError,
+    InconsistentExtensionError,
     ParseError,
     UnknownVariableError,
 )
@@ -432,7 +433,9 @@ class _PolyParser:
                 return value
 
     def parse_division(self, value):
-        """value / the factor after the '/', which must be a nonzero constant."""
+        """value / the factor after the '/', which must be a nonzero constant
+        and, over an extension whose minimal polynomial is reducible, not a
+        zero divisor."""
         pos = self.ts.next()[2]
         divisor = self.parse_factor()
         if divisor.total_degree() > 0:
@@ -440,7 +443,11 @@ class _PolyParser:
         if divisor.is_zero():
             raise ParseError("division by zero", pos)
         c = divisor.coefficient((0,) * self.ring.nvars)
-        return value * self.ring.const(invert(c))
+        try:
+            inverse = invert(c)
+        except InconsistentExtensionError as e:
+            raise ParseError(str(e), pos) from None
+        return value * self.ring.const(inverse)
 
     def parse_factor(self):
         value = self.parse_atom()

@@ -6,12 +6,21 @@ from fractions import Fraction
 
 import pytest
 
-from noethops.fields import QQ, GF, AlgExtField, RatFuncField, UniPoly
+from noethops.fields import QQ, GF, AlgExtField, RatFuncField
 
 
 def random_rational(rng, bound=20):
     den = rng.randint(1, bound)
     return Fraction(rng.randint(-bound, bound), den)
+
+
+def in_generator(field, coeffs):
+    """sum(c_i * g^i) in a tower field with generator g, for values c_i
+    of its base, low degree first."""
+    g, value = field.generator(), field.zero()
+    for c in reversed(list(coeffs)):
+        value = value * g + c
+    return value
 
 
 def random_elem(field, rng):
@@ -20,20 +29,18 @@ def random_elem(field, rng):
         return random_rational(rng)
     if hasattr(field, "p"):
         return field.from_int(rng.randrange(field.p))
+
+    def draw(count):
+        return [random_elem(field.base, rng) for _ in range(count)]
+
     if isinstance(field, RatFuncField):
-        num = UniPoly(field.base, [random_elem(field.base, rng) for _ in range(rng.randint(1, 3))])
-        den = UniPoly(field.base, [random_elem(field.base, rng) for _ in range(rng.randint(1, 3))])
-        while den.is_zero():
-            den = UniPoly(field.base, [random_elem(field.base, rng) for _ in range(rng.randint(1, 3))])
-        from noethops.fields import RatFunc
-
-        return RatFunc(field, num, den)
+        num = in_generator(field, draw(rng.randint(1, 3)))
+        den = in_generator(field, draw(rng.randint(1, 3)))
+        while not den:
+            den = in_generator(field, draw(rng.randint(1, 3)))
+        return num / den
     if isinstance(field, AlgExtField):
-        d = field.minpoly.degree
-        rep = UniPoly(field.base, [random_elem(field.base, rng) for _ in range(d)])
-        from noethops.fields import AlgExtElem
-
-        return AlgExtElem(field, rep)
+        return in_generator(field, draw(field.minpoly.degree))
     raise TypeError(f"no random generator for {field!r}")
 
 

@@ -297,6 +297,21 @@ CONTRACT = [
     ("ext-over-ratfunc-check-zn", "field ext(Fp(3)(t), u, u^3 - t); ring [x]; "
      "prime q = x^3 - u : univariate; check-zn q 2;", 0,
      {"symbolic": ["x^6 + u*x^3 + u^2"], "new_diff": ["x^3 + 2*u"]}),
+    # a zero divisor of a reducible minimal polynomial is an input error
+    # where the parser divides by it
+    ("zero-divisor-nf", "field ext(QQ, u, u^2 - 1); ring [x]; ideal I = x; nf 1/(u - 1), I;",
+     2, {"stderr": "input error: zero divisor u - 1 in QQ[u]/(u^2 - 1); minimal polynomial "
+                   "is reducible (at position 54)"}),
+    ("zero-divisor-poly", "field ext(QQ, u, u^2 - 1); ring [x]; poly f = 1/(u - 1);",
+     2, {"stderr": "input error: zero divisor u - 1 in QQ[u]/(u^2 - 1); minimal polynomial "
+                   "is reducible (at position 47)"}),
+    ("zero-divisor-point", "field ext(QQ, u, u^2 - 1); ring [x]; point P = (1/(u + 1));",
+     2, {"stderr": "input error: zero divisor u + 1 in QQ[u]/(u^2 - 1); minimal polynomial "
+                   "is reducible (at position 49)"}),
+    ("zero-divisor-prime", "field ext(QQ, u, u^2 - 1); ring [x]; "
+     "prime q = x - 1/(u - 1) : univariate;",
+     2, {"stderr": "input error: zero divisor u - 1 in QQ[u]/(u^2 - 1); minimal polynomial "
+                   "is reducible (at position 52)"}),
     # chain checks at rational points that once took seconds
     ("check-zn-60-at-origin", "field QQ; ring [x, y]; prime m = x, y : point (0, 0); "
      "check-zn m 60;", 0, {"verdicts": [

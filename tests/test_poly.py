@@ -48,6 +48,16 @@ def test_parse_rational_coefficients():
         parse("x/0", R)
 
 
+def test_parse_division_by_a_zero_divisor_is_a_parse_error():
+    # u^2 - 1 = (u - 1)(u + 1) is not irreducible, so u - 1 has no inverse
+    L = AlgExtField(QQ, "u", UniPoly(QQ, [Fraction(-1), Fraction(0), Fraction(1)]))
+    S = PolyRing(L, ["x"])
+    with pytest.raises(ParseError, match=r"^zero divisor u - 1 in QQ\[u\]/\(u\^2 - 1\); ") as err:
+        S.parse("x + 1/(u - 1)")
+    assert err.value.pos == 5
+    assert S.parse("x + 1/u") == S.parse("x + u")  # u^-1 = u: units still divide
+
+
 def test_parse_t_rational_coefficients():
     F2T = RatFuncField(GF(2), "t")
     S = PolyRing(F2T, ["x"])

@@ -174,12 +174,13 @@ def _scanned_power_exponent(prime, n):
     """Least j with (x - u)^n dividing m^j in L[x], by trying m, m^2, ..."""
     m = to_unipoly(prime.minpoly)
     L = AlgExtField(prime.ring.field, "u", m)
-    m = UniPoly(L, [L.coerce(c) for c in m.coeffs])
-    linear = UniPoly(L, [-L.generator(), L.one()])
+    m = UniPoly(L, [L.coerce(c) for c in m.coeffs]).raw
+    linear = UniPoly(L, [-L.generator(), L.one()]).raw
+    power = (L.raw_one,)
     for j in range(1, n + 1):
-        F = m**j
+        F = power = L.pmul(power, m)
         for _ in range(n):
-            F, rem = divmod(F, linear)
+            F, rem = L.pdivmod(F, linear)
             if rem:
                 break
         else:
