@@ -390,7 +390,7 @@ class _ScriptParser:
             I = script.as_ideal(tok[1], pos)
             basis = list(I.groebner_basis)
             fields = {"ideal": tok[1], "basis": [str(g) for g in basis]}
-            return fields, Ideal(I.ring, basis, I.order)
+            return fields, Ideal(I.ring, basis, I.order, reduced=True)
 
         return bind, execute
 

@@ -41,9 +41,6 @@ class DualFunctional:
         ))
         return cls(ring, items)
 
-    def coord_dict(self):
-        return dict(self.coords)
-
     def pairing(self, f):
         """Action on a polynomial already written at the origin."""
         total = self.ring.field.zero()

@@ -66,17 +66,22 @@ Its cached records keep packed monomials and raw tails; ``normal_form``
 and ``contains`` pack f straight onto them while f's exponents fit their
 width, and ``contains`` stops at the first remainder term, unpacking none.
 
-Intersections and saturations go through an auxiliary variable and a
-block elimination order, the standard single-variable constructions.
+Intersections and saturations go through an auxiliary variable w and a
+block order eliminating it, the standard single-variable constructions.
+Both end in ``_eliminate``: by the elimination theorem (Cox, Little and
+O'Shea, *Ideals, Varieties, and Algorithms*, ch. 3 sec. 1) the w-free
+elements of the reduced block-order basis are the reduced basis of the
+result in the order the block order restricts to, grevlex.  A grevlex
+result takes them with ``reduced=True``; any other order runs Buchberger
+on them again, which converts the order.
 """
 
 import sys
-from functools import partial
 from bisect import insort
 from collections import defaultdict
 from heapq import heapify, heappop, heappush
 from itertools import chain, islice, product
-from operator import mul, neg
+from operator import mul
 
 from .errors import ArityMismatchError, IncompatibleFieldError
 from .poly import Polynomial, PolyRing, grevlex_key, monomial_divides
@@ -84,26 +89,13 @@ from .poly import Polynomial, PolyRing, grevlex_key, monomial_divides
 LEX, GREVLEX, ELIM = "lex", "grevlex", "elimination"
 
 
-def _lex_key(mono):
-    return tuple(map(neg, mono))
-
-
-def _elim_key(block, mono):
-    return grevlex_key(mono[:block]) + grevlex_key(mono[block:])
-
-
 class MonomialOrder:
-    """Total order on monomials refining divisibility.  ``key`` is a flat
-    int tuple, smaller for bigger monomials, and does not check arity."""
+    """Total order on monomials refining divisibility, defined once by
+    ``weights``: ``compare`` packs its two monomials as the kernel does
+    and compares the ints."""
 
     def __init__(self, kind, ring, block=0):
-        if kind == GREVLEX:
-            self.key = grevlex_key
-        elif kind == LEX:
-            self.key = _lex_key
-        elif kind == ELIM:
-            self.key = partial(_elim_key, block)
-        else:
+        if kind not in (LEX, GREVLEX, ELIM):
             raise ValueError(f"unknown order kind {kind!r}")
         self.kind = kind
         self.ring = ring
@@ -126,11 +118,9 @@ class MonomialOrder:
         n = self.ring.nvars
         if len(m1) != n or len(m2) != n:
             raise ArityMismatchError(f"monomial arities {len(m1)}, {len(m2)} != ring arity {n}")
-        k1, k2 = self.key(m1), self.key(m2)
+        pack = _Packing(self, _width((m1, m2))).pack
+        k1, k2 = pack(m1), pack(m2)  # a smaller int is a bigger monomial
         return (k1 < k2) - (k1 > k2)
-
-    def leading_monomial(self, f):
-        return min(f.terms, key=self.key)
 
     def weights(self, width):
         """One int weight per variable for the kernel's packed monomials.
@@ -549,36 +539,38 @@ def ideal_power(I, n):
 
 
 def _extended_ring(ring):
-    """Ring with one auxiliary variable in front, plus both transfer maps."""
+    """Ring with one auxiliary variable w in front, and the map into it."""
     name = ring.field.fresh_name("_w", ring.variables)
     ext = PolyRing(ring.field, (name,) + ring.variables)
 
     def up(f):
         return Polynomial(ext, {(0,) + m: c for m, c in f.terms.items()})
 
-    def down(f):
-        return Polynomial(ring, {m[1:]: c for m, c in f.terms.items()})
-
-    return ext, up, down
+    return ext, up
 
 
-def _eliminate_first(ext_ideal, down):
-    kept = []
-    for g in ext_ideal.groebner_basis:
-        if all(m[0] == 0 for m in g.terms):
-            kept.append(down(g))
-    return kept
+def _eliminate(I, ext, gens):
+    """The ideal of I's ring cut out of (gens) in ext: the w-free elements
+    of its basis under the block order eliminating w.  That order
+    restricts to grevlex, so under grevlex they are the reduced basis
+    (elimination theorem); other orders run Buchberger again to convert."""
+    basis = Ideal(ext, gens, MonomialOrder.elimination(ext, 1)).groebner_basis
+    kept = [
+        Polynomial(I.ring, {m[1:]: c for m, c in g.terms.items()})
+        for g in basis
+        if all(m[0] == 0 for m in g.terms)
+    ]
+    return Ideal(I.ring, kept, I.order, reduced=I.order.kind == GREVLEX)
 
 
 def intersect(I, J):
     """I cap J via the auxiliary variable: eliminate w from w*I + (1-w)*J."""
     _check_compatible(I, J)
-    ext, up, down = _extended_ring(I.ring)
+    ext, up = _extended_ring(I.ring)
     w = ext.var(0)
     gens = [w * up(f) for f in I.generators]
     gens += [(ext.one() - w) * up(g) for g in J.generators]
-    elim = Ideal(ext, gens, MonomialOrder.elimination(ext, 1))
-    return Ideal(I.ring, _eliminate_first(elim, down), I.order)
+    return _eliminate(I, ext, gens)
 
 
 def saturate(I, s):
@@ -587,12 +579,11 @@ def saturate(I, s):
         raise IncompatibleFieldError("saturation witness from a different ring")
     if s.is_zero():
         raise ValueError("cannot saturate by zero")
-    ext, up, down = _extended_ring(I.ring)
+    ext, up = _extended_ring(I.ring)
     w = ext.var(0)
     gens = [up(f) for f in I.generators]
     gens.append(ext.one() - w * up(s))
-    elim = Ideal(ext, gens, MonomialOrder.elimination(ext, 1))
-    return Ideal(I.ring, _eliminate_first(elim, down), I.order)
+    return _eliminate(I, ext, gens)
 
 
 def ideal_equal(I, J):

@@ -47,9 +47,6 @@ def monomial_div(a, b):
     """Exponent vector of x^a / x^b; caller guarantees divisibility."""
     return tuple(map(sub, a, b))
 
-def monomial_lcm(a, b):
-    return tuple(max(x, y) for x, y in zip(a, b))
-
 
 def add_into(out, pairs):
     """Add (key, coefficient) pairs into the term map `out` in place,
@@ -306,10 +303,6 @@ class Polynomial(RingValue):
                     term = term * shifted[i] ** e
             out = out + term
         return out
-
-    def graded_component(self, d):
-        """Sum of the total-degree-d terms."""
-        return Polynomial(self.ring, {m: c for m, c in self.terms.items() if sum(m) == d})
 
     def is_homogeneous(self):
         degrees = {sum(m) for m in self.terms}

@@ -3,11 +3,73 @@
 Deliberately does not reuse noethops.linalg: membership is decided by a
 plain forward-elimination span check written from scratch, so Groebner
 normal forms and Macaulay kernels are cross-checked against a second,
-unrelated computation path.
+unrelated computation path.  Monomials, shifts and the textbook monomial
+orders are written out here too, so nothing below calls the polynomial
+or Groebner code it checks.
 """
 
+from functools import cmp_to_key
+from itertools import product
+from math import comb
+from operator import add
+
 from noethops.fields import invert
-from noethops.poly import monomial_mul, monomials_up_to
+
+
+def monomials(nvars, bound):
+    """Every exponent tuple of total degree <= bound."""
+    return [m for m in product(range(bound + 1), repeat=nvars) if sum(m) <= bound]
+
+
+def monomial_product(a, b):
+    return tuple(map(add, a, b))
+
+
+def lcm(a, b):
+    return tuple(map(max, a, b))
+
+
+def lex(a, b):
+    """Textbook lex: the leftmost nonzero entry of a - b decides."""
+    d = [x - y for x, y in zip(a, b) if x != y]
+    return (d[0] > 0) - (d[0] < 0) if d else 0
+
+
+def grevlex(a, b):
+    """Textbook grevlex: total degree, then the rightmost nonzero entry of
+    a - b, negative meaning bigger."""
+    if sum(a) != sum(b):
+        return (sum(a) > sum(b)) - (sum(a) < sum(b))
+    d = [x - y for x, y in zip(a, b) if x != y]
+    return (d[-1] < 0) - (d[-1] > 0) if d else 0
+
+
+def textbook_compare(order):
+    """The comparison an order's kind and block name: lex, grevlex, or
+    grevlex on the first `block` variables, then grevlex on the rest."""
+    if order.kind == "lex":
+        return lex
+    if order.kind == "grevlex":
+        return grevlex
+    k = order.block
+    return lambda a, b: grevlex(a[:k], b[:k]) or grevlex(a[k:], b[k:])
+
+
+def leading_monomial(f, order):
+    return max(f.terms, key=cmp_to_key(textbook_compare(order)))
+
+
+def shifted_terms(f, point):
+    """The terms of f(x + a), each (x_i + a_i)^e expanded by the binomial
+    theorem."""
+    out = {}
+    for m, c in f.terms.items():
+        for k in product(*(range(e + 1) for e in m)):
+            v = c
+            for e, j, a in zip(m, k, point):
+                v = v * comb(e, j) * a ** (e - j)
+            out[k] = out[k] + v if k in out else v
+    return {k: v for k, v in out.items() if v}
 
 
 class Span:
@@ -55,17 +117,17 @@ class TruncatedMembershipOracle:
         ring = generators[0].ring
         self.ring = ring
         self.bound = bound
-        self.columns = {m: i for i, m in enumerate(monomials_up_to(ring.nvars, bound))}
+        self.columns = {m: i for i, m in enumerate(monomials(ring.nvars, bound))}
         self.span = Span(len(self.columns), ring.field)
         zero = ring.field.zero()
         for g in generators:
             dg = g.total_degree()
             if dg > bound:
                 continue
-            for gamma in monomials_up_to(ring.nvars, bound - dg):
+            for gamma in monomials(ring.nvars, bound - dg):
                 row = [zero] * len(self.columns)
                 for m, c in g.terms.items():
-                    row[self.columns[monomial_mul(m, gamma)]] = c
+                    row[self.columns[monomial_product(m, gamma)]] = c
                 self.span.insert(row)
 
     def vector(self, f):
@@ -83,19 +145,19 @@ class TruncatedMembershipOracle:
 
 def macaulay_matrix(generators, point, k):
     """Explicit Macaulay constraint matrix at the point, columns indexed
-    by monomials of degree <= k in grevlex-ascending order."""
+    by the monomials of degree <= k."""
     ring = generators[0].ring
-    columns = monomials_up_to(ring.nvars, k)
+    columns = monomials(ring.nvars, k)
     index = {m: i for i, m in enumerate(columns)}
     zero = ring.field.zero()
     rows = []
     for g in generators:
-        shifted = g.translate(point)
-        for gamma in monomials_up_to(ring.nvars, k):
+        shifted = shifted_terms(g, point)
+        for gamma in columns:
             row = [zero] * len(columns)
             nonzero = False
-            for m, c in shifted.terms.items():
-                beta = monomial_mul(m, gamma)
+            for m, c in shifted.items():
+                beta = monomial_product(m, gamma)
                 if sum(beta) <= k:
                     row[index[beta]] = c
                     nonzero = True

@@ -6,6 +6,7 @@ from fractions import Fraction
 
 import pytest
 
+from noethops import groebner
 from noethops.fields import QQ, GF, AlgExtField, RatFuncField
 
 
@@ -70,6 +71,19 @@ def random_nonzero_poly(ring, rng, **kw):
         f = random_poly(ring, rng, **kw)
         if not f.is_zero():
             return f
+
+
+def count_buchberger_runs(monkeypatch):
+    """The generator count of every Buchberger run from now on."""
+    runs = []
+    run = groebner._GB.run
+
+    def counted(self, gen_terms):
+        runs.append(len(gen_terms))
+        return run(self, gen_terms)
+
+    monkeypatch.setattr(groebner._GB, "run", counted)
+    return runs
 
 
 @pytest.fixture

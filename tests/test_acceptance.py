@@ -23,7 +23,7 @@ from noethops.powers import (
 )
 from noethops.weyl import sol_membership
 
-from _oracles import Span, TruncatedMembershipOracle
+from _oracles import Span, TruncatedMembershipOracle, lcm, leading_monomial
 from conftest import random_poly
 from test_weyl import random_op
 
@@ -153,7 +153,7 @@ def test_criterion_6_property_suite():
 
 def test_criterion_7_groebner_engine_soundness():
     with _report(7, "GB uniqueness, S-poly reduction, oracle membership"):
-        from noethops.poly import monomial_div, monomial_lcm
+        from noethops.poly import monomial_div
 
         cases = [
             ideal(R2, "x^2 - y", "y^2"),
@@ -171,11 +171,11 @@ def test_criterion_7_groebner_engine_soundness():
                 assert Ideal(I.ring, gens, I.order).groebner_basis == base
             for i in range(len(base)):
                 for j in range(i + 1, len(base)):
-                    lti = I.order.leading_monomial(base[i])
-                    ltj = I.order.leading_monomial(base[j])
-                    lcm = monomial_lcm(lti, ltj)
-                    s = I.ring.monomial(monomial_div(lcm, lti)) * base[i] - I.ring.monomial(
-                        monomial_div(lcm, ltj)
+                    lti = leading_monomial(base[i], I.order)
+                    ltj = leading_monomial(base[j], I.order)
+                    l = lcm(lti, ltj)
+                    s = I.ring.monomial(monomial_div(l, lti)) * base[i] - I.ring.monomial(
+                        monomial_div(l, ltj)
                     ) * base[j]
                     assert I.normal_form(s).is_zero()
             oracle = TruncatedMembershipOracle(list(I.generators), 6)

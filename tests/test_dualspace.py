@@ -34,7 +34,7 @@ EY = {(0, 1): QQ.one()}
 
 
 def as_dicts(basis):
-    return [lam.coord_dict() for lam in basis.functionals]
+    return [dict(lam.coords) for lam in basis.functionals]
 
 
 def test_truncated_dual_maximal_ideal():

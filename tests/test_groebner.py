@@ -21,10 +21,10 @@ from noethops.groebner import (
     intersect,
     saturate,
 )
-from noethops.poly import PolyRing, monomial_div, monomial_lcm, monomials_up_to
+from noethops.poly import PolyRing, monomial_div, monomials_up_to
 
-from _oracles import TruncatedMembershipOracle
-from conftest import random_nonzero, random_nonzero_poly, random_poly
+from _oracles import TruncatedMembershipOracle, lcm, leading_monomial, textbook_compare
+from conftest import count_buchberger_runs, random_nonzero, random_nonzero_poly, random_poly
 
 R2 = PolyRing(QQ, ["x", "y"])
 R4 = PolyRing(QQ, ["x", "y", "z", "w"])
@@ -79,8 +79,8 @@ def test_twisted_cubic_membership_matches_linear_algebra_oracle(rng):
         if rng.random() < 0.4:  # mix in guaranteed members
             g = random_poly(R4, rng, max_degree=2, max_terms=3)
             f = g * I.generators[k % 3]
-        if f.total_degree() > 4:
-            f = f.graded_component(min(f.total_degree(), 4))
+        if f.total_degree() > 4:  # keep the degree-4 part
+            f = R4.poly({m: c for m, c in f.terms.items() if sum(m) == 4})
         assert I.contains(f) == oracle.contains(f)
         agree += 1
     assert agree == 50
@@ -187,11 +187,11 @@ def test_spolynomials_reduce_to_zero(mk):
     order = I.order
     for i in range(len(gb)):
         for j in range(i + 1, len(gb)):
-            lti = order.leading_monomial(gb[i])
-            ltj = order.leading_monomial(gb[j])
-            lcm = monomial_lcm(lti, ltj)
-            si = I.ring.monomial(monomial_div(lcm, lti))
-            sj = I.ring.monomial(monomial_div(lcm, ltj))
+            lti = leading_monomial(gb[i], order)
+            ltj = leading_monomial(gb[j], order)
+            l = lcm(lti, ltj)
+            si = I.ring.monomial(monomial_div(l, lti))
+            sj = I.ring.monomial(monomial_div(l, ltj))
             s = si * gb[i] - sj * gb[j]
             assert I.normal_form(s).is_zero()
 
@@ -269,37 +269,23 @@ R5 = PolyRing(QQ, ["a", "b", "c", "d", "e"])
     ids=repr,
 )
 def test_order_key_matches_textbook_definitions(order):
-    """The flat key (smaller for bigger monomials) sorts as the textbook
-    comparisons do: lex by the leftmost nonzero entry of a - b, grevlex by
-    degree then the rightmost nonzero entry of a - b (negative means
-    bigger), elimination(2) by grevlex on the first two variables, then
-    grevlex on the rest."""
-
-    def lex(a, b):
-        d = [x - y for x, y in zip(a, b) if x != y]
-        return (d[0] > 0) - (d[0] < 0) if d else 0
-
-    def grevlex(a, b):
-        if sum(a) != sum(b):
-            return (sum(a) > sum(b)) - (sum(a) < sum(b))
-        d = [x - y for x, y in zip(a, b) if x != y]
-        return (d[-1] < 0) - (d[-1] > 0) if d else 0
-
-    textbook = {
-        "lex": lex,
-        "grevlex": grevlex,
-        "elimination(2)": lambda a, b: grevlex(a[:2], b[:2]) or grevlex(a[2:], b[2:]),
-    }[repr(order)]
+    """``compare`` and the kernel's packed ints sort as the textbook
+    comparisons do (``_oracles.textbook_compare``): lex by the leftmost
+    nonzero entry of a - b, grevlex by degree then the rightmost nonzero
+    entry of a - b (negative means bigger), elimination(2) by grevlex on
+    the first two variables, then grevlex on the rest."""
+    textbook = textbook_compare(order)
     rng = random.Random(20191)
     monos = list({tuple(rng.randint(0, 4) for _ in range(5)) for _ in range(300)})
     want = sorted(monos, key=cmp_to_key(textbook), reverse=True)
-    assert sorted(monos, key=order.key) == want
+    assert sorted(monos, key=cmp_to_key(order.compare), reverse=True) == want
     for width in (16, 32):  # the kernel's packed ints, up to the guard bits
         top = (1 << (width - 1)) - 1
         edge = list({tuple(rng.choice((0, 1, top - 1, top)) for _ in range(5)) for _ in range(300)})
         pack = groebner._Packing(order, width).pack
         assert sorted(monos, key=pack) == want
         assert sorted(edge, key=pack) == sorted(edge, key=cmp_to_key(textbook), reverse=True)
+        assert all(order.compare(a, b) == textbook(a, b) for a, b in zip(edge, edge[1:]))
     assert all(order.compare(a, b) == textbook(a, b) for a, b in zip(monos, monos[1:]))
 
 
@@ -711,3 +697,58 @@ def test_cyclic6_reductions_to_zero(monkeypatch):
     assert len(ideal(ring, *gens).groebner_basis) == 45
     assert len(zeros) <= 219
     assert sum(zeros) <= 28
+
+
+# A grevlex intersection or saturation takes the w-free part of its
+# elimination basis as its reduced basis, and `gb I as G` binds a reduced
+# basis, so neither runs Buchberger a second time; lex converts the order.
+ELIMINATION_SCRIPTS = {
+    "sat grevlex": ("grevlex", "sat I, y;", 1),
+    "intersect grevlex": ("grevlex", "ideal J = x^3, y; intersect I, J;", 1),
+    "sat lex": ("lex", "sat I, y;", 2),
+    "intersect lex": ("lex", "ideal J = x^3, y; intersect I, J;", 2),
+    "gb then sat": ("grevlex", "gb I as G; sat G, y; gb G;", 2),
+}
+
+
+@pytest.mark.parametrize("name", ELIMINATION_SCRIPTS)
+def test_buchberger_runs_per_elimination(monkeypatch, name):
+    order, tail, want = ELIMINATION_SCRIPTS[name]
+    runs = count_buchberger_runs(monkeypatch)
+    run(parse_script("field QQ; ring [x, y]; ideal I = x^2*y, y^3; " + tail, order))
+    assert len(runs) == want
+
+
+def test_buchberger_runs_for_twisted_cubic_symbolic_square(monkeypatch):
+    # one run for p's basis, which checks that the witness lies outside p,
+    # and one for the elimination basis of (p^2 : x^inf)
+    runs = count_buchberger_runs(monkeypatch)
+    text = (
+        "field QQ; ring [x, y, z, w]; "
+        "prime c = x*z - y^2, y*w - z^2, x*w - y*z : witness x; sympow c 2;"
+    )
+    run(parse_script(text))
+    assert len(runs) == 2
+
+
+V2 = AlgExtField(QQ, "v", UniPoly(QQ, [QQ.from_int(-2), QQ.zero(), QQ.one()]))
+
+
+@pytest.mark.parametrize(
+    "field", [QQ, GF(7), RatFuncField(GF(3), "t"), V2], ids=["QQ", "GF(7)", "F3(t)", "QQ[v]"]
+)
+def test_elimination_basis_is_the_reduced_basis(field):
+    """The basis a grevlex intersect or saturate trusts is the one a fresh
+    Buchberger run over its generators computes."""
+    rng = random.Random(f"trust-{field!r}")
+    ring = PolyRing(field, ["x", "y", "z"])
+    order = MonomialOrder.grevlex(ring)
+
+    def draw():
+        return random_nonzero_poly(ring, rng, max_degree=2, max_terms=3)
+
+    for _ in range(6):
+        I = Ideal(ring, [draw(), draw()], order)
+        for result in (saturate(I, draw()), intersect(I, Ideal(ring, [draw(), draw()], order))):
+            fresh = Ideal(ring, result.generators, order).groebner_basis
+            assert [str(g) for g in result.groebner_basis] == [str(g) for g in fresh]

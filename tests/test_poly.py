@@ -247,14 +247,6 @@ def test_translate():
     assert (x * y).translate([1, 1]) == x * y + x + y + 1
 
 
-def test_graded_component():
-    f = x**2 + x + 1
-    assert f.graded_component(1) == x
-    assert f.graded_component(3).is_zero()
-    g = x**2 * y + y**3
-    assert g.graded_component(3) == g
-
-
 def test_format_parse_roundtrip(rng):
     fields = [QQ, GF(5), RatFuncField(GF(2), "t"), RatFuncField(QQ, "t")]
     for field in fields:

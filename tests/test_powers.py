@@ -11,7 +11,6 @@ from noethops.errors import (
     UnsupportedCharacteristicError,
 )
 from noethops.fields import GF, QQ, AlgExtField, RatFuncField, UniPoly
-from noethops import groebner
 from noethops.groebner import Ideal, MonomialOrder, ideal, ideal_equal, ideal_power, saturate
 from noethops.poly import PolyRing, monomials_up_to, to_unipoly
 from noethops.powers import (
@@ -27,7 +26,7 @@ from noethops.powers import (
     _taylor_member,
 )
 
-from conftest import random_rational
+from conftest import count_buchberger_runs, random_rational
 
 R2 = PolyRing(QQ, ["x", "y"])
 R3 = PolyRing(QQ, ["x", "y", "z"])
@@ -273,19 +272,6 @@ def test_chain_check_rational_point_all_equal():
         assert ideal_equal(report.new_diff, mn)
         agree = [x for x in report.verdicts if x.relation == "agrees-on-monomials"]
         assert agree and agree[0].holds
-
-
-def count_buchberger_runs(monkeypatch):
-    """The generator count of every Buchberger run from now on."""
-    runs = []
-    run = groebner._GB.run
-
-    def counted(self, gen_terms):
-        runs.append(len(gen_terms))
-        return run(self, gen_terms)
-
-    monkeypatch.setattr(groebner._GB, "run", counted)
-    return runs
 
 
 def test_chain_check_builds_one_power(monkeypatch):
