@@ -80,7 +80,7 @@ import sys
 from bisect import insort
 from collections import defaultdict
 from heapq import heapify, heappop, heappush
-from itertools import chain, islice, product
+from itertools import chain, product
 from operator import mul
 
 from .errors import ArityMismatchError, IncompatibleFieldError
@@ -192,6 +192,13 @@ class _Packing:
 
     def unpack_terms(self, pairs, from_raw):
         return {self.unpack(m): from_raw(c) for m, c in pairs}
+
+    def derive(self, terms, j, mul, raw_int):
+        """d/dx_j of packed raw terms: x_j^e goes down by one and its
+        coefficient is multiplied by raw_int(e), unless e is 1."""
+        unit, shift, mask = self.units[j], self.shifts[j], self.mask
+        return {m - unit: c if e == 1 else mul(c, raw_int(e))
+                for m, c in terms.items() if (e := m >> shift & mask)}
 
     def record(self, terms, to_raw):
         """The (lt, 0, 0, tail) reducer of a term map, the tail biggest first."""
@@ -408,37 +415,38 @@ class Ideal:
         self.groebner_basis  # builds both on first use
         return self._records
 
-    def _remainder(self, f, limit):
-        """The packing and the first `limit` (None: all) raw remainder terms
-        of f, biggest first.  The basis is repacked wider, and kept, only
-        when f's exponents outgrow the cached width or a reduction overflows."""
+    def _fitted(self, f, work):
+        """(packing, work(packing, records, f's packed raw terms)): the cached
+        records while f's exponents fit them and work raises no _Overflow,
+        else the first wider ones at which it does not, kept."""
         if f.ring != self.ring:
             raise IncompatibleFieldError("polynomial from a different ring")
-        dom = self.ring.field
+        to_raw = self.ring.field.to_raw
         pk, records = self._packed_basis()
         if not max(chain.from_iterable(f.terms), default=0) >> (pk.width - 2):
             try:  # f packs straight onto the cached records
-                terms = pk.pack_terms(f.terms, dom.to_raw)
-                return pk, list(islice(_reduce(terms, records, pk.guard, dom.submul), limit))
+                return pk, work(pk, records, pk.pack_terms(f.terms, to_raw))
             except _Overflow:
                 pass
 
-        def reduce(pk):  # a wider packing: repack the basis and keep it
-            self._records = pk, [pk.record(g.terms, dom.to_raw) for g in self._gb]
-            terms = pk.pack_terms(f.terms, dom.to_raw)
-            return list(islice(_reduce(terms, self._records[1], pk.guard, dom.submul), limit))
+        def rework(pk):
+            self._records = pk, [pk.record(g.terms, to_raw) for g in self._gb]
+            return work(*self._records, pk.pack_terms(f.terms, to_raw))
 
-        return _widening(_Packing(self.order, max(2 * pk.width, _width(f.terms))), reduce)
+        return _widening(_Packing(self.order, max(2 * pk.width, _width(f.terms))), rework)
 
     def normal_form(self, f):
         """Remainder of multivariate division by the reduced basis;
         zero exactly for ideal members."""
-        pk, terms = self._remainder(f, None)
-        return Polynomial(self.ring, pk.unpack_terms(terms, self.ring.field.from_raw))
+        dom = self.ring.field
+        pk, terms = self._fitted(f, lambda pk, records, t: list(_reduce(t, records, pk.guard, dom.submul)))
+        return Polynomial(self.ring, pk.unpack_terms(terms, dom.from_raw))
 
     def contains(self, f):
         """Membership, stopping at the first remainder term; nothing unpacks."""
-        return not self._remainder(f, 1)[1]
+        submul = self.ring.field.submul
+        return not self._fitted(f, lambda pk, records, t: next(
+            _reduce(t, records, pk.guard, submul), None))[1]
 
     def is_unit_ideal(self):
         gb = self.groebner_basis

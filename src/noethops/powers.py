@@ -21,14 +21,15 @@ The classical differential power (operators into the ring itself) is a
 membership predicate generated by iterated partial derivatives, read at a
 rational point from the Taylor coefficients of degree < n of f(x + a),
 shifted on raw coefficients (``Polynomial.translate`` stays on wrapped
-values until the benchmark's peak memory stops counting jobs); that
-description is only valid over characteristic zero, so anything else is
-refused rather than silently approximated.
+values until the benchmark's peak memory stops counting jobs), and
+elsewhere from each d^beta f, one partial of its parent on packed raw
+terms; that description is only valid over characteristic zero, so
+anything else is refused rather than silently approximated.
 """
 
 import sys
 from dataclasses import dataclass, field as dataclass_field
-from functools import cache, reduce
+from functools import cache, partial, reduce
 from itertools import combinations_with_replacement, repeat
 from math import comb, gcd, perm, prod
 
@@ -37,7 +38,7 @@ from .errors import (
     PointNotOnVarietyError,
     UnsupportedCharacteristicError,
 )
-from .groebner import Ideal, ideal_equal, ideal_power, ideal_sum, saturate
+from .groebner import Ideal, _reduce, ideal_equal, ideal_power, ideal_sum, saturate
 from .linalg import kernel_basis
 from .poly import Polynomial, monomial_div, monomials_of_degree, monomials_up_to
 
@@ -110,17 +111,49 @@ def symbolic_power(p, n):
 
 
 def _classical_member(I, n):
-    """diff_power_classical_member for fixed I and n, betas listed once."""
+    """diff_power_classical_member for fixed I and n: the d^beta f, |beta| < n,
+    by |beta|, on the packed raw terms that I reduces against.  A child of
+    d_i g is d_j g for j >= i, so each beta comes once.  Zero derivatives
+    prune, and the first that has a remainder term (as contains reads it)
+    ends the walk; a homogeneous f has only itself and its top order
+    tested."""
     if n < 1:
         raise ValueError("differential power requires n >= 1")
-    if I.ring.field.characteristic != 0:
+    ring, dom = I.ring, I.ring.field
+    if dom.characteristic != 0:
         raise UnsupportedCharacteristicError(
             "the classical differential power involves divided-power "
             "operators in positive characteristic; refusing to compute "
             "with derivations only"
         )
-    betas = monomials_up_to(I.ring.nvars, n - 1)
-    return lambda f: all(I.contains(f.diff_multi(beta)) for beta in betas)
+    mul, submul = dom.mul, dom.submul
+    scale = cache(lambda e: dom.to_raw(dom.from_int(e)))  # nonzero in characteristic 0
+
+    def walk(tested, pk, records, terms):  # tested: the top order to test, None for every order
+        level = [(0, terms)]  # (j of the last d_j, derivative)
+        for k in range(n):
+            if k:
+                level = [(j, d) for i, g in level for j in range(i, ring.nvars)
+                         if (d := pk.derive(g, j, mul, scale))]
+            if not level:
+                break
+            if (tested is None or k in (0, tested)) and any(
+                    next(_reduce(g, records, pk.guard, submul), None) for _, g in level):
+                return False
+        return True
+
+    def member(f):
+        if f.ring.nvars != ring.nvars:  # as diff_multi refuses a beta of I's arity
+            raise ArityMismatchError(f"expected {f.ring.nvars} exponents, got {ring.nvars}")
+        # Euler: d * g = sum x_j d_j g for g homogeneous of degree d, so when f
+        # is homogeneous of degree D the derivatives of order min(n - 1, D)
+        # decide, as those of each lower order have degree >= 1; f itself is
+        # still tested first, the cheap way out for a nonmember
+        degrees = {sum(m) for m in f.terms}
+        tested = min(n - 1, *degrees) if len(degrees) == 1 else None
+        return I._fitted(f, partial(walk, tested))[1]
+
+    return member
 
 
 def _taylor_member(p, n):

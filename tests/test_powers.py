@@ -5,14 +5,16 @@ from math import isqrt
 
 import pytest
 
+from noethops.cli import parse_script, run
 from noethops.errors import (
     ArityMismatchError,
+    IncompatibleFieldError,
     PointNotOnVarietyError,
     UnsupportedCharacteristicError,
 )
 from noethops.fields import GF, QQ, AlgExtField, RatFuncField, UniPoly
 from noethops.groebner import Ideal, MonomialOrder, ideal, ideal_equal, ideal_power, saturate
-from noethops.poly import PolyRing, monomials_up_to, to_unipoly
+from noethops.poly import Polynomial, PolyRing, monomials_of_degree, monomials_up_to, to_unipoly
 from noethops.powers import (
     PrimeData,
     chain_check,
@@ -91,6 +93,123 @@ def test_classical_member_char_p_refused():
     I = ideal(S, "x", "y")
     with pytest.raises(UnsupportedCharacteristicError):
         diff_power_classical_member(I, 2, S.parse("x^2"))
+
+
+def classical_by_definition(I, n, f):
+    """The classical predicate as defined, apart from the walk that decides
+    it: d^beta f in I for every |beta| < n."""
+    return all(I.contains(f.diff_multi(b)) for b in monomials_up_to(I.ring.nvars, n - 1))
+
+
+def _small_form(ring, rng, degree):
+    """Up to five terms of degree exactly degree with coefficients in [-5, 5]."""
+    monos = monomials_of_degree(ring.nvars, degree)
+    return ring.poly({rng.choice(monos): rng.randint(-5, 5) for _ in range(5)})
+
+
+def _near_members(gens, ring, rng, n):
+    """(k, f): a random polynomial of degree <= 1 or 3, or a random form of
+    degree 0 or 2, times k generators, k = n twice (a member), n - 1 (a near
+    miss) and 0."""
+    for make, degree in ((_small_poly, 1), (_small_poly, 3), (_small_form, 0), (_small_form, 2)):
+        for k in (n, n, n - 1, 0):
+            f = make(ring, rng, degree)
+            for _ in range(k):
+                f = f * rng.choice(gens)
+            yield k, f
+
+
+def _classical_case(name):
+    """(ideal, largest n) by name: the twisted cubic in an order, or a
+    univariate prime over a field."""
+    if name.startswith("cubic"):
+        order = MonomialOrder.lex(R4) if name == "cubic-lex" else MonomialOrder.grevlex(R4)
+        return ideal(R4, "x*z - y^2", "y*w - z^2", "x*w - y*z", order=order), 4
+    field, m = {"QQ": (QQ, "x^3 - x - 1"), "QQ(t)": (QT, "x^2 - t"), "QQ[v]": (QV, "x^2 - v")}[name]
+    return ideal(PolyRing(field, ["x"]), m), 5
+
+
+@pytest.mark.parametrize("name", ["cubic-grevlex", "cubic-lex", "QQ", "QQ(t)", "QQ[v]"])
+def test_classical_walk_matches_the_definition(name):
+    # members are products of n generators with a random polynomial; one
+    # factor fewer, or a random polynomial, is mostly not a member
+    I, top = _classical_case(name)
+    rng = random.Random(2124)
+    seen = set()
+    for n in range(1, top + 1):
+        for k, f in _near_members(I.generators, I.ring, rng, n):
+            expected = classical_by_definition(I, n, f)
+            assert diff_power_classical_member(I, n, f) == expected
+            assert expected or k < n or f.is_zero()
+            seen.add((expected, f.is_homogeneous()))
+        f = rng.choice(I.generators) ** n + 1  # every d^beta f with beta != 0 lies in I
+        assert not classical_by_definition(I, n, f) and not diff_power_classical_member(I, n, f)
+    assert {expected for expected, _ in seen} == {True, False}
+    if name.startswith("cubic"):  # homogeneous f are decided by one order of derivatives
+        assert {(True, True), (False, True)} <= seen
+    # zero derivatives prune: past the degree of f the walk has nothing left
+    g = I.generators[0]
+    assert diff_power_classical_member(I, 10**9, g**2 * g.ring.var(0)**3) is False
+    assert diff_power_classical_member(I, 10**9, g.ring.zero())
+
+
+@pytest.mark.parametrize("kind", ["grevlex", "lex"])
+def test_classical_walk_widens_as_a_fresh_ideal(kind):
+    # x^70000 outgrows the cached 16-bit packing, and in lex y^400 against
+    # y - z^100 overflows during reduction: the walk widens the packing and
+    # answers as the definition does on an ideal that never packed anything
+    R = PolyRing(QQ, ["x", "y", "z"])
+    order = MonomialOrder.lex(R) if kind == "lex" else MonomialOrder.grevlex(R)
+    gens = ["x^3", "y^2 - x*y", "z^2 + 2*y"] if kind == "grevlex" else ["x^3", "y - z^100"]
+    small = [R.parse(t) for t in ("x^2*y + z", "x^5*y^2 - x^4", "z^5 + x*z")]
+    before = [classical_by_definition(ideal(R, *gens, order=order), n, f) for n in (1, 2, 3) for f in small]
+    seen = set()
+    for text in ("x^6*y^400 + x^70000", "y^400 + x^4", "x^70000*z - z^2"):
+        f, I = R.parse(text), ideal(R, *gens, order=order)
+        answers = [diff_power_classical_member(I, n, f) for n in (1, 2, 3)]
+        assert answers == [classical_by_definition(ideal(R, *gens, order=order), n, f) for n in (1, 2, 3)]
+        assert (I._packed_basis()[0].width > 16) == (kind == "lex" or "x^70000" in text)
+        assert [diff_power_classical_member(I, n, g) for n in (1, 2, 3) for g in small] == before
+        seen.update(answers)
+    assert seen == {True, False}
+
+
+def test_classical_walk_takes_no_derivative_or_membership_shortcut(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("the walk differentiates and reduces packed terms itself")
+
+    p = twisted_cubic_prime()
+    monkeypatch.setattr(Polynomial, "diff_multi", refuse)
+    monkeypatch.setattr(Ideal, "contains", refuse)
+    assert diff_power_classical_member(p.ideal, 3, p.ideal.generators[0] ** 3)
+    assert not diff_power_classical_member(p.ideal, 3, p.ideal.generators[0] ** 2)
+
+
+def test_classical_predicate_keeps_every_refusal():
+    I = twisted_cubic_prime().ideal
+    I7 = ideal(PolyRing(GF(7), R4.variables), "x")
+    refused = [
+        (I, 2, PolyRing(QQ, ["x", "y"]).parse("x^2"), ArityMismatchError, "expected 2 exponents, got 4"),
+        (I, 2, PolyRing(GF(7), R4.variables).parse("x^2"), IncompatibleFieldError,
+         "polynomial from a different ring"),
+        (I, 0, R4.parse("x^2"), ValueError, "differential power requires n >= 1"),
+        (I7, 2, I7.ring.parse("x^2"), UnsupportedCharacteristicError,
+         "the classical differential power involves divided-power operators in positive "
+         "characteristic; refusing to compute with derivations only"),
+    ]
+    for J, n, f, error, text in refused:
+        with pytest.raises(error) as caught:
+            diff_power_classical_member(J, n, f)
+        assert type(caught.value) is error and str(caught.value) == text
+    cubic = "ring [x, y, z, w]; prime c = x*z - y^2, y*w - z^2, x*w - y*z : witness x;"
+    report = run(parse_script(f"field QQ; {cubic} check-zn c 0;"))
+    assert report["commands"][0]["error"] == "chain check requires n >= 1"
+    assert report["status"]["exit_code"] == 2
+    report = run(parse_script(f"field Fp(7); {cubic} check-zn c 2 bound 2;"))
+    entry = report["commands"][0]
+    assert entry["status"] == "ok" and not entry["classical_available"]
+    assert entry["classical_note"] == "classical differential power refused in positive characteristic"
+    assert report["status"]["exit_code"] == 0
 
 
 def test_classical_graded_examples():
@@ -524,7 +643,7 @@ def test_taylor_predicate_matches_derivatives(field):
                 f = _small_poly(ring, rng, 3)
                 for _ in range(k):
                     f = f * rng.choice(factors)
-                expected = diff_power_classical_member(p.ideal, n, f)
+                expected = classical_by_definition(p.ideal, n, f)
                 assert member(f) == expected
                 assert expected or k < n or f.is_zero()
                 seen.add(expected)
