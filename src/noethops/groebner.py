@@ -416,24 +416,20 @@ class Ideal:
         return self._records
 
     def _fitted(self, f, work):
-        """(packing, work(packing, records, f's packed raw terms)): the cached
-        records while f's exponents fit them and work raises no _Overflow,
-        else the first wider ones at which it does not, kept."""
+        """(packing, work(packing, records, f's packed raw terms)) by _widening
+        from the cached packing when f's exponents fit it, else from the
+        first packing they fit; a basis repacked at a wider one is kept."""
         if f.ring != self.ring:
             raise IncompatibleFieldError("polynomial from a different ring")
         to_raw = self.ring.field.to_raw
-        pk, records = self._packed_basis()
-        if not max(chain.from_iterable(f.terms), default=0) >> (pk.width - 2):
-            try:  # f packs straight onto the cached records
-                return pk, work(pk, records, pk.pack_terms(f.terms, to_raw))
-            except _Overflow:
-                pass
+        pk, width = self._packed_basis()[0], _width(f.terms)
 
         def rework(pk):
-            self._records = pk, [pk.record(g.terms, to_raw) for g in self._gb]
+            if pk is not self._records[0]:
+                self._records = pk, [pk.record(g.terms, to_raw) for g in self._gb]
             return work(*self._records, pk.pack_terms(f.terms, to_raw))
 
-        return _widening(_Packing(self.order, max(2 * pk.width, _width(f.terms))), rework)
+        return _widening(pk if width <= pk.width else _Packing(self.order, width), rework)
 
     def normal_form(self, f):
         """Remainder of multivariate division by the reduced basis;

@@ -63,22 +63,16 @@ def add_into(out, pairs):
 
 def monomials_up_to(nvars, degree):
     """All exponent tuples with total degree <= degree, grevlex ascending."""
-    out = []
-
-    def rec(prefix, remaining, slots):
-        if slots == 0:
-            out.append(tuple(prefix))
-            return
-        for e in range(remaining + 1):
-            rec(prefix + [e], remaining - e, slots - 1)
-
-    rec([], degree, nvars)
-    out.sort(key=grevlex_key, reverse=True)
-    return out
+    return [m for d in range(degree + 1) for m in monomials_of_degree(nvars, d)]
 
 
 def monomials_of_degree(nvars, degree):
-    return [m for m in monomials_up_to(nvars, degree) if sum(m) == degree]
+    """The exponent tuples of total degree `degree`, grevlex ascending: the
+    largest last exponent first, the rest ordered by the same rule."""
+    if nvars < 2:  # (degree,) in one variable; in none, () alone, of degree 0
+        return [(degree,) * nvars] if nvars or not degree else []
+    return [head + (e,) for e in range(degree, -1, -1)
+            for head in monomials_of_degree(nvars - 1, degree - e)]
 
 
 class PolyRing:

@@ -232,13 +232,10 @@ def diff_power_classical_graded(I, n, degree_bound):
 
     for d in range(degree_bound + 1):
         monos = monomials_of_degree(ring.nvars, d)
-        if not monos:
-            continue
         rows = []
         for beta in betas:
             normal_forms = [diff_normal_form(m, beta) for m in monos]
-            support = sorted({s for nf in normal_forms for s in nf})
-            for s in support:
+            for s in {s for nf in normal_forms for s in nf}:
                 rows.append({i: nf[s] for i, nf in enumerate(normal_forms) if s in nf})
         for v in kernel_basis(rows, len(monos), field):
             gens.append(Polynomial(ring, {monos[i]: c for i, c in v.items()}))
@@ -447,23 +444,22 @@ def chain_check(p, n, agreement_bound=None):
         )
     )
 
+    inner, inner_name = report.symbolic, "symbolic"  # the power the classical one is compared with
     if p.kind != WITNESS:  # a witness prime has no solution-set power to compare
-        report.new_diff = _prime_power(p, _solution_set_exponent(p, n))
-        _inclusion_verdict(report, "symbolic", report.symbolic, "new_diff", report.new_diff)
+        report.new_diff = inner = diff_power_new(p, n)
+        inner_name = "new_diff"
+        _inclusion_verdict(report, "symbolic", report.symbolic, inner_name, inner)
 
     if char != 0:
-        report.classical_available = False
         report.classical_note = (
             "classical differential power refused in positive characteristic"
         )
         report.verdicts.append(
-            Verdict("new_diff", VERDICT_UNAVAILABLE, "classical", True, note=report.classical_note)
+            Verdict(inner_name, VERDICT_UNAVAILABLE, "classical", True, note=report.classical_note)
         )
     else:
         report.classical_available = True
         report.classical_note = "membership predicate via iterated partials"
-        inner = report.new_diff if report.new_diff is not None else report.symbolic
-        inner_name = "new_diff" if report.new_diff is not None else "symbolic"
         at_point = p.kind == RATIONAL_POINT
         member = _taylor_member(p, n) if at_point else _classical_member(p.ideal, n)
         ok = all(member(g) for g in inner.generators)

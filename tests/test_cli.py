@@ -183,6 +183,24 @@ def test_main_run(tmp_path, capsys):
     assert data["commands"][0]["command"] == "noeth"
 
 
+def test_check_zn_unavailable_verdict_names_symbolic_for_a_witness_prime(tmp_path, capsys):
+    path = tmp_path / "script.ca"
+    path.write_text(
+        "field Fp(7); ring [x, y, z, w]; prime c = x*z - y^2, y*w - z^2, x*w - y*z : witness x;"
+        " check-zn c 2 bound 2;"
+    )
+    assert main(["run", str(path), "--json"]) == 0
+    entry = json.loads(capsys.readouterr().out)["commands"][0]
+    assert entry["new_diff"] is None and not entry["classical_available"]
+    assert entry["verdicts"][-1] == {
+        "lhs": "symbolic",
+        "relation": "unavailable",
+        "rhs": "classical",
+        "holds": True,
+        "note": "classical differential power refused in positive characteristic",
+    }
+
+
 def test_main_run_text_report(tmp_path, capsys):
     path = tmp_path / "script.ca"
     path.write_text("field QQ; ring [x,y]; ideal I = x^2, y; gb I; nf x*y + x^2, I;")

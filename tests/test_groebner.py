@@ -137,6 +137,14 @@ def test_ideal_equal_examples():
     assert ideal_equal(ideal(R2, "x - y", "x + y"), ideal(R2, "x", "y"))
     assert not ideal_equal(ideal(R2, "x"), ideal(R2, "x^2"))
     assert ideal_equal(ideal(R2, "x^2", "x*y", "y^2"), ideal_power(ideal(R2, "x", "y"), 2))
+    # across orders J is compared after being rebuilt in I's order, either way round
+    lex, grevlex = MonomialOrder.lex(R4), MonomialOrder.grevlex(R4)
+    I = ideal(R4, "x*z - y^2", "y*w - z^2", "x*w - y*z", order=lex)
+    same = ideal(R4, "x*z - y^2 + y*w - z^2", "y*w - z^2", "x*w - y*z + x*z - y^2", order=grevlex)
+    fewer = ideal(R4, "x*z - y^2", "y*w - z^2", order=grevlex)
+    assert I.groebner_basis != same.groebner_basis
+    assert ideal_equal(I, same) and ideal_equal(same, I)
+    assert not ideal_equal(I, fewer) and not ideal_equal(fewer, I)
 
 
 TEST_IDEALS = [
@@ -512,6 +520,32 @@ def test_widened_packing_answers_as_a_fresh_ideal(field, kind):
         assert (I.contains(f), I.normal_form(f)) == fresh(f)
     assert I._packed_basis()[0].width > 16
     assert [(I.contains(f), I.normal_form(f)) for f in small] == before
+
+
+@pytest.mark.parametrize("kind, gens", [
+    ("lex", ["7*x^3*y + 7", "8*x^2*y^3 + 4"]),  # its basis fits 16 bits: only signatures widen
+    ("lex", ["7*x*y^3 + 6", "6*x^3 + 5*x^2"]),
+    ("grevlex", ["8*x^3*y^3 + 9*x", "9*x^3*y^3 + y"]),
+    ("grevlex", ["x^3*y^3 + 3*x^2*y", "3*x^3*y^2 + 2*y^3 + 1"]),
+])
+@pytest.mark.parametrize("field", [QQ, GF(32003)], ids=["QQ", "GF(32003)"])
+def test_a_signature_overflow_widens_the_packing(field, kind, gens):
+    # x_i -> x_i^4096 keeps every input exponent below 2^14, in 16-bit
+    # fields; then a signature outgrows them before any term does: a
+    # signature multiple in _reduce in the first of each order, a pair's
+    # signature in _GB.add in the second.  Under lex and grevlex the
+    # substitution maps a reduced basis to the reduced basis of the image.
+    R = PolyRing(field, ["x", "y"])
+    order = getattr(MonomialOrder, kind)(R)
+
+    def scaled(f):
+        return R.poly({tuple(4096 * e for e in m): c for m, c in f.terms.items()})
+
+    plain = ideal(R, *gens, order=order)
+    I = Ideal(R, [scaled(g) for g in plain.generators], order)
+    assert groebner._width(m for g in I.generators for m in g.terms) == 16
+    assert I.groebner_basis == tuple(scaled(g) for g in plain.groebner_basis)
+    assert I._packed_basis()[0].width > 16
 
 
 @pytest.mark.parametrize("field", [QQ, GF(7)], ids=["QQ", "GF(7)"])

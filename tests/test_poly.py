@@ -11,7 +11,7 @@ from noethops.errors import (
     UnknownVariableError,
 )
 from noethops.fields import GF, QQ, AlgExtField, RatFuncField, UniPoly
-from noethops.poly import PolyRing, monomials_up_to, parse
+from noethops.poly import PolyRing, grevlex_key, monomials_of_degree, monomials_up_to, parse
 
 from conftest import random_elem, random_poly
 
@@ -289,3 +289,10 @@ def test_evaluate_is_homomorphism(rng):
 def test_monomials_up_to():
     ms = monomials_up_to(2, 2)
     assert ms == [(0, 0), (0, 1), (1, 0), (0, 2), (1, 1), (2, 0)]
+    # against the definition: the exponent box cut at the degree, grevlex ascending
+    for nvars in range(5):
+        for degree in range(12):
+            box = [m for m in product(range(degree + 1), repeat=nvars) if sum(m) <= degree]
+            expected = sorted(box, key=grevlex_key, reverse=True)
+            assert monomials_up_to(nvars, degree) == expected
+            assert monomials_of_degree(nvars, degree) == [m for m in expected if sum(m) == degree]

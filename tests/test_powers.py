@@ -454,6 +454,19 @@ def test_chain_check_separable_univariate():
     assert sub.holds
 
 
+def test_unavailable_verdict_names_the_compared_power():
+    # in positive characteristic the classical power is compared with the
+    # solution-set power where the prime has one, else with the symbolic one
+    R7 = PolyRing(GF(7), R4.variables)
+    cubic = PrimeData.with_witness(ideal(R7, "x*z - y^2", "y*w - z^2", "x*w - y*z"), R7.var(0))
+    for prime, name in [(cubic, "symbolic"), (univariate_insep(3), "new_diff")]:
+        report = chain_check(prime, 2, agreement_bound=2)
+        v = report.find(name, "classical")
+        assert v.relation == "unavailable" and v.holds
+        assert not report.classical_available
+        assert (report.new_diff is None) == (name == "symbolic")
+
+
 def test_chain_check_twisted_cubic_agreement():
     prime = twisted_cubic_prime()
     report = chain_check(prime, 2, agreement_bound=4)
