@@ -8,7 +8,8 @@ exactly at desk scale:
   symbolic powers are ordinary powers, and so is the solution-set power
   (J + m^n with J = 0).  The (x - a)^beta spanning m^n, expanded in
   closed form, are its reduced basis, as is monic m^j for a univariate
-  prime: neither runs Buchberger.  A prime keeps the powers it builds.
+  prime, a product of raw coefficient lists: neither runs Buchberger.  A
+  prime keeps the powers it builds.
 * ``univariate-algebraic``: p = (m(x)) in K[x] with m monic and
   caller-certified irreducible; the solution-set power is m^j with j
   read from the exponents of m, no extension field built.  This is the
@@ -40,7 +41,7 @@ from .errors import (
 )
 from .groebner import Ideal, _reduce, ideal_equal, ideal_power, ideal_sum, saturate
 from .linalg import kernel_basis
-from .poly import Polynomial, monomial_div, monomials_of_degree, monomials_up_to
+from .poly import Polynomial, monomial_div, monomials_of_degree, monomials_up_to, to_unipoly
 
 RATIONAL_POINT = "rational-point"
 UNIVARIATE = "univariate-algebraic"
@@ -310,16 +311,20 @@ def _prime_power(p, j):
     of its factors; it is monic with lead x^beta in every order and tail
     terms of degree < j, and the staircase of the leads has C(j+d-1, d)
     monomials, dim K[x]/m_a^j, so these are the reduced basis.  Monic m^j
-    is its own reduced basis.  A witness prime's power goes through
-    Buchberger."""
+    is its own reduced basis, multiplied out on m's raw coefficient list
+    and made a Polynomial once.  A witness prime's power goes through
+    Buchberger; ideal_power stays the reference for both closed forms."""
     if j in p.powers:
         return p.powers[j]
     ring, field = p.ring, p.ring.field
-    if p.kind != RATIONAL_POINT:
+    if p.kind == WITNESS:
         pj = ideal_power(p.ideal, j)
-        pj = pj if p.kind == WITNESS else Ideal(ring, pj.generators, pj.order, reduced=True)
     elif j > sys.maxsize:  # as ideal_power refuses it
         raise ValueError(f"ideal power exponent exceeds {sys.maxsize}")
+    elif p.kind == UNIVARIATE:
+        mj = reduce(field.pmul, repeat(to_unipoly(p.minpoly).raw, j))
+        gen = Polynomial(ring, {(e,): field.from_raw(c) for e, c in enumerate(mj) if c})
+        pj = Ideal(ring, [gen], p.ideal.order, reduced=True)
     else:
         expansion = cache(lambda i, b: [  # the (k, coefficient) terms of (x_i - a_i)^b
             (k, c) for k in range(b + 1) if (c := field.from_int(comb(b, k)) * (-p.point[i]) ** (b - k))])

@@ -278,6 +278,16 @@ CONTRACT = [
      "diffpow --new m 99999999999999999999;", 2, {"error": "ideal power exponent exceeds "}),
     ("huge-check-zn", "field QQ; ring [x, y]; prime m = x, y : point (0, 0); "
      "check-zn m 99999999999999999999;", 2, {"error": "ideal power exponent exceeds "}),
+    # a univariate prime's m^j is refused before any product is taken
+    ("huge-sympow-univariate", "field QQ; ring [x]; prime q = x^2 - 2 : univariate; "
+     "sympow q 99999999999999999999;", 2, {"error": "ideal power exponent exceeds "}),
+    ("huge-diffpow-univariate", "field QQ; ring [x]; prime q = x^2 - 2 : univariate; "
+     "diffpow --new q 99999999999999999999;", 2, {"error": "ideal power exponent exceeds "}),
+    ("huge-check-zn-univariate", "field QQ; ring [x]; prime q = x^2 - 2 : univariate; "
+     "check-zn q 99999999999999999999;", 2, {"error": "ideal power exponent exceeds "}),
+    # ceil(n / 3) still exceeds sys.maxsize
+    ("huge-diffpow-inseparable", "field Fp(3)(t); ring [x]; prime q = x^3 - t : univariate; "
+     "diffpow --new q 99999999999999999999;", 2, {"error": "ideal power exponent exceeds "}),
     ("curvilinear", "field QQ; ring [x, y]; ideal I = y - x^2, y^4; noeth I at (0, 0);",
      0, {"colength": 8, "truncation_order": 7}),
     ("not-zero-dimensional", "field QQ; ring [x, y]; ideal I = x; noeth I at (0, 0);",

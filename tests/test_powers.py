@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from functools import partial
 from itertools import combinations_with_replacement
 from math import isqrt
 
@@ -610,6 +611,33 @@ def test_point_power_generators_match_ideal_power(field):
                 closed = _prime_power(p, j)
                 assert closed.order == order
                 assert list(closed.generators) == list(ideal_power(p.ideal, j).generators)
+
+
+def _seeded_minpolys(field, rng):
+    """Monic m of degree 1-4 with seeded coefficients below the lead, some zero;
+    the products compared need no irreducibility."""
+    ring = PolyRing(field, ["x"])
+    for d in (1, 2, 3, 4):
+        tail = {(k,): _coordinate(field, rng) for k in range(d) if rng.random() < 0.7}
+        yield PrimeData.univariate(ring.poly({(d,): 1, **tail}))
+
+
+@pytest.mark.parametrize("make, pinned", [
+    *((partial(_seeded_minpolys, field), {}) for field in (QQ, GF(7), QT, QV)),
+    (lambda rng: [univariate_insep(7)], {7: ["x^49 + 6*t^7"]}),
+], ids=["QQ", "GF(7)", "QQ(t)", "QQ[v]", "Fp(7)(t)-x^7-t"])
+def test_univariate_power_generators_match_ideal_power(make, pinned):
+    # the raw list product m^j is the one product ideal_power multiplies
+    # out; (x^7 - t)^7 = x^49 - t^7 over Fp(7)(t) drops every inner
+    # binomial term
+    for p in make(random.Random(2125)):
+        for j in (*range(1, 9), 25):
+            closed, product = _prime_power(p, j), ideal_power(p.ideal, j)
+            assert closed.order == p.ideal.order
+            assert list(closed.generators) == list(product.generators)
+            texts = [str(g) for g in closed.generators]
+            assert texts == [str(g) for g in product.generators]
+            assert pinned.get(j, texts) == texts
 
 
 @pytest.mark.parametrize("make", [
