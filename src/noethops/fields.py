@@ -33,8 +33,9 @@ for ``AlgExtField`` (``()`` for 0).  ``to_raw``/``from_raw`` convert;
 ``add``, ``neg``, ``submul(acc, c, t)`` (acc - c*t, a falsy acc is 0),
 ``mul`` and ``inv`` (of nonzero values) compute, and the list methods
 ``padd`` ... ``pinverse`` are written once on them, so towers compose level
-by level.  The Groebner kernel and ``linalg.kernel_basis`` compute on raw
-values.
+by level.  ``linalg.kernel_basis`` computes on raw values, and so does the
+Groebner kernel over every field but QQ, which it takes as ints of its
+own.
 
 A value of ``GF(p)`` or of a tower is one class, :class:`FieldValue`: its
 ``field`` and its raw value ``raw``, each operator one raw operation of the

@@ -23,17 +23,32 @@ basis elements.  At the end the minimal leading terms are kept and
 tail-reduced.  An ideal built with ``reduced=True`` runs none of this:
 its monic generators are its reduced basis.
 
-One loop, ``_reduce``, does every reduction.  A reducer (lt, d, j, tail)
-is a monic element with signature (lt + d, j); it reduces a term t only
-when sig(g) * t / lt(g) = (t + d, j) is below a bound (s, i), and the one
-that makes it smallest is tried.  The run bounds by the signature
-reduced, so reduction is regular and the first step of u * h cancels its
-lead as the pair's other side would; its reducers are sorted by
-sig(g) / lt(g), which on seeded rational-function scripts beat the
-smallest leading term.  The reduced basis is kept as records
-(lt, 0, 0, tail) ascending by leading monomial; tail reduction, normal
+One loop, ``_reduce``, does every reduction.  A reducer (lt, d, j, tail,
+lc) is an element with signature (lt + d, j) and lead coefficient lc; it
+reduces a term t only when sig(g) * t / lt(g) = (t + d, j) is below a
+bound (s, i), and the one that makes it smallest is tried.  The run bounds
+by the signature reduced, so reduction is regular and the first step of
+u * h cancels its lead as the pair's other side would; its reducers are
+sorted by sig(g) / lt(g), which on seeded rational-function scripts beat
+the smallest leading term.  The reduced basis is kept as records
+(lt, 0, 0, tail, lc) ascending by leading monomial; tail reduction, normal
 forms and membership use them under the default bound, an infinite
 signature that admits every reducer.
+
+Over QQ the kernel is fraction-free: it computes on primitive integer
+polynomials, by pseudo-division (Geddes, Czapor and Labahn, *Algorithms
+for Computer Algebra*, 1992).  A polynomial enters times the lcm of its
+denominators, and a record is primitive with a positive integer lc.  A
+step on a term c takes g = gcd(c, lc); when lc / g is not 1 it scales the
+whole work by it, and it subtracts c / g times the shifted tail with plain
+integer arithmetic.  A remainder term yielded before a later scaling is
+brought to the last term's scale when the remainder is finished, and the
+content is removed once per finished remainder.  A normal form divides its
+remainder by the clearing factor times the scale of the work.  A basis is
+made monic only when it is unpacked, so it prints as the monic reduced
+basis.  Every other field computes on its own raw values with monic
+records: their lc is None (as is a QQ record's whose lc is 1), and no step
+scales.
 
 Inside the kernel a monomial is one int.  Its low n*W bits are n exponent
 fields of W bits, variable i at bit i*W, and the top bit of each field is
@@ -59,12 +74,14 @@ the width; a Koszul signature that overflows is only left unrecorded.  So
 no result depends on the width, and no input is refused for the size
 of its exponents.
 
-The kernel computes on raw coefficients through its field's domain
-operations (see ``fields``).  Only ``Ideal`` converts: it packs generators
-and unpacks bases, ``leading_monomials`` and ``normal_form`` remainders.
-Its cached records keep packed monomials and raw tails; ``normal_form``
-and ``contains`` pack f straight onto them while f's exponents fit their
-width, and ``contains`` stops at the first remainder term, unpacking none.
+The kernel computes on raw coefficients through its domain, ``_kernel``:
+ints over QQ, the field's own raw values (see ``fields``) otherwise.  Only
+``Ideal`` converts: it packs generators and unpacks bases,
+``leading_monomials`` and ``normal_form`` remainders.  Its cached records
+keep packed monomials and raw tails; ``normal_form`` and ``contains`` pack
+f straight onto them while f's exponents fit their width, and ``contains``
+stops at the first remainder term, whose scale does not matter, unpacking
+none.
 
 Intersections and saturations go through an auxiliary variable w and a
 block order eliminating it, the standard single-variable constructions.
@@ -79,11 +96,15 @@ on them again, which converts the order.
 import sys
 from bisect import insort
 from collections import defaultdict
+from fractions import Fraction
+from functools import cache
 from heapq import heapify, heappop, heappush
 from itertools import chain, product
-from operator import mul
+from math import gcd, lcm
+from operator import attrgetter, mul
 
 from .errors import ArityMismatchError, IncompatibleFieldError
+from .fields import RationalField
 from .poly import Polynomial, PolyRing, grevlex_key, monomial_divides
 
 LEX, GREVLEX, ELIM = "lex", "grevlex", "elimination"
@@ -187,23 +208,19 @@ class _Packing:
         mask = self.mask
         return tuple([(m >> s) & mask for s in self.shifts])
 
-    def pack_terms(self, terms, to_raw):
-        return {self.pack(m): to_raw(c) for m, c in terms.items()}
-
-    def unpack_terms(self, pairs, from_raw):
-        return {self.unpack(m): from_raw(c) for m, c in pairs}
-
-    def derive(self, terms, j, mul, raw_int):
+    def derive(self, terms, j, times):
         """d/dx_j of packed raw terms: x_j^e goes down by one and its
-        coefficient is multiplied by raw_int(e), unless e is 1."""
+        coefficient c becomes times(c, e), unless e is 1."""
         unit, shift, mask = self.units[j], self.shifts[j], self.mask
-        return {m - unit: c if e == 1 else mul(c, raw_int(e))
+        return {m - unit: c if e == 1 else times(c, e)
                 for m, c in terms.items() if (e := m >> shift & mask)}
 
-    def record(self, terms, to_raw):
-        """The (lt, 0, 0, tail) reducer of a term map, the tail biggest first."""
-        packed = sorted(self.pack_terms(terms, to_raw).items())
-        return packed[0][0], 0, 0, tuple(packed[1:])
+    def record(self, terms, kernel):
+        """The (lt, 0, 0, tail, lc) reducer of a monic polynomial's terms,
+        the tail biggest first."""
+        packed = sorted(kernel.enter(self.pack, terms)[0].items())
+        (lt, lc), tail = packed[0], tuple(packed[1:])
+        return lt, 0, 0, tail, None if lc == kernel.one else lc
 
     def lcm(self, a, b):
         """lcm(a, b), packed."""
@@ -224,17 +241,104 @@ def _widening(pk, work):
             pk = _Packing(pk.order, 2 * pk.width)
 
 
+class _Monic:
+    """A field inside the kernel as its own raw values (see ``fields``):
+    records are monic, so their lc is None and no step scales."""
+
+    def __init__(self, field):
+        self.field, self.submul, self.one = field, field.submul, field.raw_one
+
+    def times(self, c, e):
+        """c times the int e."""
+        field = self.field
+        return field.mul(c, field.to_raw(field.from_int(e)))
+
+    def enter(self, pack, terms):
+        """A polynomial's packed raw terms and the factor that cleared them."""
+        to_raw = self.field.to_raw
+        return {pack(m): to_raw(c) for m, c in terms.items()}, 1
+
+    def record(self, rem):
+        """(lt, tail, lc) of a nonzero remainder's monic multiple."""
+        (lt, lc, _), rest = rem[0], rem[1:]
+        if lc == self.one:  # monic already, as every tail-reduced basis element is
+            return lt, tuple([(m, c) for m, c, _ in rest]), None
+        mul, inv = self.field.mul, self.field.inv(lc)
+        return lt, tuple([(m, mul(c, inv)) for m, c, _ in rest]), None
+
+    def values(self, rem, clear, unpack):
+        """A remainder's terms as a term map of field values."""
+        from_raw = self.field.from_raw
+        return {unpack(m): from_raw(c) for m, c, _ in rem}
+
+    def monic(self, lt, tail, lc, unpack):
+        """A record's term map of field values, its lead coefficient one."""
+        from_raw = self.field.from_raw
+        return {unpack(m): from_raw(c) for m, c in ((lt, self.one),) + tail}
+
+
+class _Integers:
+    """QQ inside the kernel: a polynomial enters as ints, times the lcm of
+    its denominators, and a record is primitive with a positive lead
+    coefficient lc (None when it is 1)."""
+
+    one = 1
+    times = staticmethod(mul)
+
+    @staticmethod
+    def submul(acc, c, t):
+        return (acc or 0) - c * t
+
+    def enter(self, pack, terms):
+        clear = lcm(*map(attrgetter("denominator"), terms.values()))
+        if clear == 1:
+            return {pack(m): c.numerator for m, c in terms.items()}, 1
+        return {pack(m): c.numerator * (clear // c.denominator) for m, c in terms.items()}, clear
+
+    def record(self, rem):
+        last = rem[-1][2]  # every term is brought to the last term's scale
+        pairs = [(m, c if k == last else c * (last // k)) for m, c, k in rem]
+        content = gcd(*[c for _, c in pairs])
+        if pairs[0][1] < 0:
+            content = -content
+        if content != 1:
+            pairs = [(m, c // content) for m, c in pairs]
+        (lt, lc), tail = pairs[0], tuple(pairs[1:])
+        return lt, tail, None if lc == 1 else lc
+
+    def values(self, rem, clear, unpack):
+        return {unpack(m): Fraction(c, clear * k) for m, c, k in rem}
+
+    def monic(self, lt, tail, lc, unpack):
+        lc = lc or 1
+        return {unpack(m): Fraction(c, lc) for m, c in ((lt, lc),) + tail}
+
+
+_INTEGERS, _monic = _Integers(), cache(_Monic)
+
+
+def _kernel(field):
+    """The kernel's domain for a field: ints for QQ, raw values otherwise."""
+    return _INTEGERS if isinstance(field, RationalField) else _monic(field)
+
+
 def _reduce(terms, reducers, guard, submul, s=float("-inf"), i=0):
     """Yield the remainder terms of (packed monomial, raw coefficient) pairs
-    against (lt, d, j, tail) reducers under the signature bound (s, i) (see
-    the module docstring), sorted so that the first divisor of a term t
-    makes (t + d, j) smallest.  The smallest int, the biggest monomial, pops
-    first and a step adds only smaller terms, so each yielded term is
-    final.  Raises _Overflow when a popped term or a signature multiple
-    has a guard bit set."""
+    against (lt, d, j, tail, lc) reducers under the signature bound (s, i)
+    (see the module docstring), sorted so that the first divisor of a term
+    t makes (t + d, j) smallest.  The smallest int, the biggest monomial,
+    pops first and a step adds only smaller terms, so each yielded term is
+    final.  A term comes as (m, c, k): the work had been scaled by k when
+    it was yielded, so the remainder's coefficient at m is c / k.  A
+    reducer with an integer lc cancels a term c by scaling the work by
+    lc / gcd(c, lc), when that is not 1, and subtracting c / gcd(c, lc)
+    times its tail; with lc None it subtracts c times its tail and k stays
+    1.  Raises _Overflow when a popped term or a signature multiple has a
+    guard bit set."""
     work = dict(terms)
     heap = list(work)
     heapify(heap)
+    scale = 1
     while heap:
         m = heappop(heap)
         c = work.pop(m, None)
@@ -242,18 +346,26 @@ def _reduce(terms, reducers, guard, submul, s=float("-inf"), i=0):
             continue
         if m & guard:
             raise _Overflow
-        for lt, d, j, tail in reducers:
-            if not (m - lt) & guard:
+        for r in reducers:
+            if not (m - r[0]) & guard:
                 break
         else:
-            yield m, c
+            yield m, c, scale
             continue
+        lt, d, j, tail, lc = r
         v = m + d
         if v & guard:
             raise _Overflow
         if v < s or v == s and j >= i:  # not regular
-            yield m, c
+            yield m, c, scale
             continue
+        if lc:
+            g = gcd(c, lc)
+            if g != lc:
+                a = lc // g
+                scale *= a
+                work = {k: a * t for k, t in work.items()}
+            c //= g
         shift = m - lt
         for tm, tc in tail:
             k = tm + shift
@@ -272,10 +384,10 @@ class _GB:
     docstring).  A signature (s, i) is kept as its Schreyer lead: s is the
     packed m * lt(f_i) and i the generator index."""
 
-    def __init__(self, packing, dom):
+    def __init__(self, packing, kernel):
         self.pk = packing
-        self.dom = dom
-        self.elements = []  # (lt, s - lt, i, monic tail) of each element, signature (s, i)
+        self.kernel = kernel
+        self.elements = []  # (lt, s - lt, i, tail, lc) of each element, signature (s, i)
         self.reducers = []  # the same records, smallest sig / lt first
         self.queue = []     # heap of (-s, i) for e_i, (-s, i, -h) for h's side of a pair
         self.syz = defaultdict(list)       # i: recorded syzygy signatures s
@@ -283,17 +395,15 @@ class _GB:
 
     def reduce(self, terms, s, i):
         """The regular remainder of terms, biggest first, for signature (s, i)."""
-        return list(_reduce(terms, self.reducers, self.pk.guard, self.dom.submul, s, i))
+        return list(_reduce(terms, self.reducers, self.pk.guard, self.kernel.submul, s, i))
 
     def add(self, red, s, i):
         """Append a regular remainder with signature (s, i), queue its pairs
         with every older element and record their Koszul signatures."""
         pk, guard = self.pk, self.pk.guard
         h = len(self.elements)
-        lt_h, lc = red[0]
-        mul, inv = self.dom.mul, self.dom.inv(lc)
-        tail = tuple((m, mul(c, inv)) for m, c in red[1:])
-        for g, (lt_g, d_g, i_g, _) in enumerate(self.elements):
+        lt_h, tail, lc = self.kernel.record(red)
+        for g, (lt_g, d_g, i_g, *_) in enumerate(self.elements):
             s_g = lt_g + d_g
             ka, kb = s + lt_g, s_g + lt_h  # lt(g) * sig(h), lt(h) * sig(g)
             if not (ka | kb) & guard and (ka, i) != (kb, i_g):
@@ -311,7 +421,7 @@ class _GB:
                 heappush(self.queue, (-a, i, -h))
             elif (a, i) != (b, i_g) and (i != i_g or (b - s) & guard):  # else h rewrites it
                 heappush(self.queue, (-b, i_g, -g))
-        record = lt_h, s - lt_h, i, tail
+        record = lt_h, s - lt_h, i, tail, lc
         self.elements.append(record)
         self.by_index[i].append((h, s))
         insort(self.reducers, record, key=lambda r: (-r[1], r[2]))
@@ -323,10 +433,10 @@ class _GB:
             zs.append(s)
 
     def run(self, gen_terms):
-        """Reduced basis as packed (lt, 0, 0, tail) records sorted ascending
-        by leading monomial."""
+        """Reduced basis as packed (lt, 0, 0, tail, lc) records sorted
+        ascending by leading monomial."""
         guard, queue = self.pk.guard, self.queue
-        one = self.dom.to_raw(self.dom.one())
+        one = self.kernel.one
         queue.extend((-min(t), i) for i, t in enumerate(gen_terms))
         heapify(queue)
         last = None
@@ -342,9 +452,9 @@ class _GB:
                 h = -side[0]
                 if any(e > h and not (s - t) & guard for e, t in self.by_index[i]):  # (ii)
                     continue
-                lt, d, _, tail = self.elements[h]
+                lt, d, _, tail, lc = self.elements[h]
                 u = s - lt - d  # u * sig(h) = (s, i)
-                terms = [(lt + u, one)] + [(m + u, c) for m, c in tail]
+                terms = [(lt + u, lc or one)] + [(m + u, c) for m, c in tail]
             else:
                 terms = gen_terms[i]
             red = self.reduce(terms, s, i)
@@ -354,14 +464,18 @@ class _GB:
                 self.syzygy(s, i)
         # keep the minimal leading terms, then tail-reduce them
         kept = []
-        for lt, _, _, tail in sorted(self.reducers, key=lambda r: -r[0]):
+        for lt, _, _, tail, lc in sorted(self.reducers, key=lambda r: -r[0]):
             if all((lt - k[0]) & guard for k in kept):
-                kept.append((lt, 0, 0, tail))
-        submul = self.dom.submul
-        return [
-            (lt, 0, 0, tuple(_reduce(tail, kept[:g] + kept[g + 1:], guard, submul)))
-            for g, (lt, _, _, tail) in enumerate(kept)
-        ]
+                kept.append((lt, 0, 0, tail, lc))
+        record, submul = self.kernel.record, self.kernel.submul
+        out = []
+        for g, (lt, _, _, tail, lc) in enumerate(kept):
+            # no other lt divides lt, so only the tail reduces; the lead, at
+            # scale 1, is brought to the tail's scale by record
+            rem = _reduce(tail, kept[:g] + kept[g + 1:], guard, submul)
+            lt, tail, lc = record([(lt, lc or one, 1), *rem])
+            out.append((lt, 0, 0, tail, lc))
+        return out
 
 
 class Ideal:
@@ -385,64 +499,66 @@ class Ideal:
         self.order = order if order is not None else MonomialOrder.grevlex(ring)
         self._gb = None
         self._records = None  # (packing, records)
+        self._domain = None  # the kernel's domain, looked up with the basis
         self._reduced = reduced
 
     @property
     def groebner_basis(self):
         if self._gb is None:
-            dom = self.ring.field
+            kernel = self._domain = _kernel(self.ring.field)
             gens = [g.terms for g in self.generators]
 
             def build(pk):
                 if self._reduced:
-                    return sorted((pk.record(t, dom.to_raw) for t in gens), key=lambda r: -r[0])
-                return _GB(pk, dom).run([pk.pack_terms(t, dom.to_raw) for t in gens])
+                    return sorted((pk.record(t, kernel) for t in gens), key=lambda r: -r[0])
+                return _GB(pk, kernel).run([kernel.enter(pk.pack, t)[0] for t in gens])
 
             pk = _Packing(self.order, _width(chain.from_iterable(gens)))
             self._records = pk, recs = _widening(pk, build)
             if self._reduced:  # the generators themselves, in record order
                 self._gb = tuple(sorted(self.generators, key=lambda g: -min(map(pk.pack, g.terms))))
             else:
-                one = dom.to_raw(dom.one())
                 self._gb = tuple(
-                    Polynomial(self.ring, pk.unpack_terms(((lt, one),) + tail, dom.from_raw))
-                    for lt, _, _, tail in recs
+                    Polynomial(self.ring, kernel.monic(lt, tail, lc, pk.unpack))
+                    for lt, _, _, tail, lc in recs
                 )
         return self._gb
 
     def _packed_basis(self):
-        """(packing, ascending packed (lt, 0, 0, tail) records)."""
+        """(packing, ascending packed (lt, 0, 0, tail, lc) records)."""
         self.groebner_basis  # builds both on first use
         return self._records
 
     def _fitted(self, f, work):
-        """(packing, work(packing, records, f's packed raw terms)) by _widening
-        from the cached packing when f's exponents fit it, else from the
-        first packing they fit; a basis repacked at a wider one is kept."""
+        """(packing, work(packing, records, f's packed raw terms, the factor
+        that cleared them)) by _widening from the cached packing when f's
+        exponents fit it, else from the first packing they fit; a basis
+        repacked at a wider one is kept."""
         if f.ring != self.ring:
             raise IncompatibleFieldError("polynomial from a different ring")
-        to_raw = self.ring.field.to_raw
         pk, width = self._packed_basis()[0], _width(f.terms)
+        kernel = self._domain
 
         def rework(pk):
             if pk is not self._records[0]:
-                self._records = pk, [pk.record(g.terms, to_raw) for g in self._gb]
-            return work(*self._records, pk.pack_terms(f.terms, to_raw))
+                self._records = pk, [pk.record(g.terms, kernel) for g in self._gb]
+            return work(*self._records, *kernel.enter(pk.pack, f.terms))
 
         return _widening(pk if width <= pk.width else _Packing(self.order, width), rework)
 
     def normal_form(self, f):
         """Remainder of multivariate division by the reduced basis;
         zero exactly for ideal members."""
-        dom = self.ring.field
-        pk, terms = self._fitted(f, lambda pk, records, t: list(_reduce(t, records, pk.guard, dom.submul)))
-        return Polynomial(self.ring, pk.unpack_terms(terms, dom.from_raw))
+        def work(pk, records, t, clear):
+            kernel = self._domain
+            return kernel.values(_reduce(t, records, pk.guard, kernel.submul), clear, pk.unpack)
+
+        return Polynomial(self.ring, self._fitted(f, work)[1])
 
     def contains(self, f):
         """Membership, stopping at the first remainder term; nothing unpacks."""
-        submul = self.ring.field.submul
-        return not self._fitted(f, lambda pk, records, t: next(
-            _reduce(t, records, pk.guard, submul), None))[1]
+        return not self._fitted(f, lambda pk, records, t, _: next(
+            _reduce(t, records, pk.guard, self._domain.submul), None))[1]
 
     def is_unit_ideal(self):
         gb = self.groebner_basis

@@ -1,9 +1,9 @@
 """Exact sparse elimination over a coefficient field.
 
 Rows are sparse ``{column: value}`` dicts of field elements (zeros may be
-left out).  Elimination runs on the field's domain of raw values, with
-the ``to_raw``/``submul``/``mul``/``inv``/``from_raw`` calls the Groebner
-kernel makes, so QQ and GF(p) compute on plain ints.  Each row pivots on
+left out).  Elimination runs on the field's domain of raw values through
+``to_raw``/``submul``/``mul``/``inv``/``from_raw``: ints for GF(p) and
+reduced ``(num, den)`` int pairs for QQ.  Each row pivots on
 its smallest column and pivot rows are kept fully reduced: the result is
 the reduced row echelon form, which is unique, so the kernel basis does
 not depend on the order of the rows.  Callers number columns ascending

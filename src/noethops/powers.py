@@ -39,7 +39,7 @@ from .errors import (
     PointNotOnVarietyError,
     UnsupportedCharacteristicError,
 )
-from .groebner import Ideal, _reduce, ideal_equal, ideal_power, ideal_sum, saturate
+from .groebner import Ideal, _kernel, _reduce, ideal_equal, ideal_power, ideal_sum, saturate
 from .linalg import kernel_basis
 from .poly import Polynomial, monomial_div, monomials_of_degree, monomials_up_to, to_unipoly
 
@@ -127,15 +127,15 @@ def _classical_member(I, n):
             "operators in positive characteristic; refusing to compute "
             "with derivations only"
         )
-    mul, submul = dom.mul, dom.submul
-    scale = cache(lambda e: dom.to_raw(dom.from_int(e)))  # nonzero in characteristic 0
+    kernel = _kernel(dom)  # e is nonzero in characteristic 0, so times(c, e) is too
+    times, submul = kernel.times, kernel.submul
 
-    def walk(tested, pk, records, terms):  # tested: the top order to test, None for every order
+    def walk(tested, pk, records, terms, _):  # tested: the top order to test, None for every order
         level = [(0, terms)]  # (j of the last d_j, derivative)
         for k in range(n):
             if k:
                 level = [(j, d) for i, g in level for j in range(i, ring.nvars)
-                         if (d := pk.derive(g, j, mul, scale))]
+                         if (d := pk.derive(g, j, times))]
             if not level:
                 break
             if (tested is None or k in (0, tested)) and any(

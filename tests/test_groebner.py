@@ -1,5 +1,6 @@
 import hashlib
 import json
+import math
 import pickle
 import random
 from functools import cmp_to_key
@@ -414,16 +415,21 @@ def test_a_reduced_ideal_is_its_own_buchberger_basis(field, kind):
         assert all(any(g is h for h in given) for g in reduced.groebner_basis)
 
 
-# Tower fields: reduced bases and one normal form, captured while the
-# kernel still computed on wrapped tower values.
+# Reduced bases and one normal form: the tower rows captured while the
+# kernel still computed on wrapped tower values, the QQ row while it still
+# computed on reduced (num, den) pairs.  The QQ remainder is exact only if
+# the normal form divides by the factor that cleared f's denominators times
+# the scale of the work.
 @pytest.mark.parametrize("field, gens, basis, f, remainder", [
+    (QQ, ("x^2/3 - y/7", "5*x*y/2 - 1"), ["y^2 - 14/15*x", "x*y - 2/5", "x^2 - 3/7*y"],
+     "x^3 + y/5", "1/5*y + 6/35"),
     (RatFuncField(GF(5), "t"), ("t*x^2 + y^2 - 1", "x*y - t - 1"),
      ["x*y + (4*t + 4)", "x^2 + 1/t*y^2 + 4/t", "y^3 + (t^2 + t)*x + 4*y"],
      "x^3 + t*y^4", "t*y^2 + 1/t*x + (4*t + 4)/t*y + (4*t^4 + 3*t^3 + 4*t^2)"),
     (_f3t_tower(), ("u*x^2 - t*y", "x*y^2 - u - 1"),
      ["x^2 + 2*u^2*y", "y^3 + (2/t*u^2 + 2/t*u)*x", "x*y^2 + (2*u + 2)"],
      "x^3*y + u*y^3", "(1/t*u^2 + 1)*x + (u^2 + t)"),
-], ids=["Fp(t)", "tower"])
+], ids=["QQ", "Fp(t)", "tower"])
 def test_element_domain_bases_pinned(field, gens, basis, f, remainder):
     ring = PolyRing(field, ["x", "y"])
     I = ideal(ring, *gens)
@@ -473,6 +479,32 @@ def test_ideal_with_basis_survives_pickle():
     f = R4.parse("x^2*z - x*y^2 + w")
     assert J.normal_form(f) == I.normal_form(f)
     assert J.contains(R4.parse("x*z - y^2"))
+
+
+def katsura(ring):
+    """Katsura-n in the n + 1 variables u_0 ... u_n of ring:
+    sum_l u_|l| u_|m - l| = u_m for m < n, and u_0 + 2 (u_1 + ... + u_n) = 1."""
+    u, n = ring.gens(), ring.nvars - 1
+    gens = [sum((u[abs(l)] * u[abs(m - l)] for l in range(-n, n + 1) if abs(m - l) <= n),
+                -u[m]) for m in range(n)]
+    return gens + [u[0] + 2 * sum(u[1:], ring.zero()) - 1]
+
+
+def test_katsura5_basis_over_qq_pinned():
+    # the sha256 of the printed basis, one element a line, from the kernel
+    # that reduced over (num, den) pairs; the integer reducers of the
+    # fraction-free one have lead coefficients other than 1
+    ring = PolyRing(QQ, [f"u{i}" for i in range(6)])
+    I = Ideal(ring, katsura(ring))
+    text = "\n".join(str(g) for g in I.groebner_basis)
+    assert len(I.groebner_basis) == 22
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "b48dc113d8bf39b3ea38122921c5fd263b8a58418cb615ad0473dda507510a58")
+    # the records behind it are primitive, lc positive (None when it is 1)
+    records = I._packed_basis()[1]
+    assert any(lc is not None for *_, lc in records)
+    assert all((lc or 1) > 0 and math.gcd(lc or 1, *(c for _, c in tail)) == 1
+               for *_, tail, lc in records)
 
 
 def test_huge_exponents_pinned():

@@ -29,7 +29,8 @@ from noethops.powers import (
     _taylor_member,
 )
 
-from conftest import count_buchberger_runs, random_rational
+from _oracles import TruncatedMembershipOracle
+from conftest import count_buchberger_runs, random_poly, random_rational
 
 R2 = PolyRing(QQ, ["x", "y"])
 R3 = PolyRing(QQ, ["x", "y", "z"])
@@ -578,6 +579,26 @@ def _seeded_points(field, rng):
             if with_zero:
                 point[rng.randrange(nvars)] = field.zero()
             yield ring, point
+
+
+def test_point_power_membership_with_denominators_matches_oracle():
+    # the (x - 1/2)^a * (y + 1/3)^b enter the kernel with their denominators
+    # cleared, as reducers whose lead coefficients are not 1, so reducing
+    # by them scales the work; degree-truncated span membership is ideal
+    # membership for m^n up to the truncation degree
+    rng = random.Random("point-denominators")
+    p = PrimeData.rational_point(R2, (Fraction(1, 2), Fraction(-1, 3)))
+    for n in (1, 2, 3, 4):
+        I, bound = _prime_power(p, n), n + 2
+        oracle = TruncatedMembershipOracle(list(I.generators), bound)
+        for k in range(16):
+            f = random_poly(R2, rng, max_degree=bound, max_terms=4)
+            if k % 2:  # a member, or one term away from one
+                g = random_poly(R2, rng, max_degree=bound - n, max_terms=3) * rng.choice(I.generators)
+                f = g + (R2.const(random_rational(rng)) if k % 4 == 1 else R2.zero())
+            remainder = I.normal_form(f)
+            assert I.contains(f) == oracle.contains(f) == remainder.is_zero()
+            assert oracle.contains(f - remainder)
 
 
 @pytest.mark.parametrize("field", [QQ, GF(7), QT, QV], ids=repr)
