@@ -8,7 +8,16 @@ m^n on the nose.  Computed here through its contraction to the ambient
 polynomial ring: J + m^n.
 """
 
-from noethops import QQ, Ideal, PolyRing, diff_power_new_point, ideal, ideal_equal, ideal_power
+from noethops import (
+    QQ,
+    Ideal,
+    PolyRing,
+    diff_power_new_point,
+    ideal,
+    ideal_equal,
+    ideal_power,
+    ideal_sum,
+)
 
 R = PolyRing(QQ, ["x", "y", "z"])
 ORIGIN = tuple(QQ.zero() for _ in range(3))
@@ -18,7 +27,7 @@ m = ideal(R, "x", "y", "z")
 print("J = (x^3 + y^3 + z^3), m = (x, y, z)")
 for n in (2, 3, 4):
     got = diff_power_new_point(J, ORIGIN, n)
-    expected = ideal_power(m, n) + J
+    expected = ideal_sum(ideal_power(m, n), J)
     print(f"n = {n}: solution-set power contracts to J + m^{n}:",
           ideal_equal(got, expected))
     collapses = ideal_equal(got, ideal_power(m, n))

@@ -14,7 +14,7 @@ from .errors import (
     UnknownVariableError,
     UnsupportedCharacteristicError,
 )
-from .fields import GF, QQ, AlgExtField, RatFuncField, UniPoly, invert, rational
+from .fields import GF, QQ, AlgExtField, RatFuncField, UniPoly, invert
 from .poly import Polynomial, PolyRing, parse
 from .groebner import (
     Ideal,
@@ -22,16 +22,14 @@ from .groebner import (
     ideal,
     ideal_equal,
     ideal_power,
-    ideal_product,
     ideal_sum,
     intersect,
     saturate,
 )
-from .weyl import DiffOp, SolTarget, parse_operator, sol_membership
+from .weyl import DiffOp, SolTarget, sol_membership
 from .dualspace import (
     DualBasis,
     DualFunctional,
-    colength,
     noetherian_operators,
     stable_dual,
     truncated_dual,

@@ -41,25 +41,6 @@ class DualFunctional:
         ))
         return cls(ring, items)
 
-    def pairing(self, f):
-        """Action on a polynomial already written at the origin."""
-        total = self.ring.field.zero()
-        for m, c in self.coords:
-            fc = f.terms.get(m)
-            if fc is not None:
-                total = total + c * fc
-        return total
-
-    def shift(self, i):
-        """Down-shift sigma_i: (sigma_i L)(f) = L(x_i * f)."""
-        if not 0 <= i < self.ring.nvars:
-            raise IndexError(f"variable index {i} out of range")
-        out = {}
-        for m, c in self.coords:
-            if m[i] > 0:
-                out[m[:i] + (m[i] - 1,) + m[i + 1 :]] = c
-        return DualFunctional.from_dict(self.ring, out)
-
     def __str__(self):
         return format_terms(
             (c, f"e[{monomial_text(self.ring.variables, m) or '1'}]") for m, c in self.coords
@@ -209,9 +190,3 @@ def noetherian_operators(I, point):
         witness_outside_ideal=witness,
         dual_basis=basis,
     )
-
-
-def colength(I, point):
-    """dim of R/I as a vector space, computed from the stable dual and
-    certified by the Groebner staircase."""
-    return stable_dual(I, point).dimension

@@ -60,11 +60,6 @@ from .errors import (
 _WORD_LIMIT = 1 << 64
 
 
-def rational(num, den=1):
-    """Canonical reduced rational with positive denominator."""
-    return Fraction(num, den)
-
-
 def invert(a):
     """Multiplicative inverse of a nonzero field element."""
     if isinstance(a, Fraction):

@@ -103,7 +103,7 @@ from itertools import chain, product
 from math import gcd, lcm
 from operator import attrgetter, mul
 
-from .errors import ArityMismatchError, IncompatibleFieldError
+from .errors import IncompatibleFieldError
 from .fields import RationalField
 from .poly import Polynomial, PolyRing, grevlex_key, monomial_divides
 
@@ -112,8 +112,7 @@ LEX, GREVLEX, ELIM = "lex", "grevlex", "elimination"
 
 class MonomialOrder:
     """Total order on monomials refining divisibility, defined once by
-    ``weights``: ``compare`` packs its two monomials as the kernel does
-    and compares the ints."""
+    ``weights``."""
 
     def __init__(self, kind, ring, block=0):
         if kind not in (LEX, GREVLEX, ELIM):
@@ -134,14 +133,6 @@ class MonomialOrder:
     def elimination(cls, ring, k):
         """Block order eliminating the first k variables."""
         return cls(ELIM, ring, block=k)
-
-    def compare(self, m1, m2):
-        n = self.ring.nvars
-        if len(m1) != n or len(m2) != n:
-            raise ArityMismatchError(f"monomial arities {len(m1)}, {len(m2)} != ring arity {n}")
-        pack = _Packing(self, _width((m1, m2))).pack
-        k1, k2 = pack(m1), pack(m2)  # a smaller int is a bigger monomial
-        return (k1 < k2) - (k1 > k2)
 
     def weights(self, width):
         """One int weight per variable for the kernel's packed monomials.
@@ -596,15 +587,6 @@ class Ideal:
         out.sort(key=grevlex_key, reverse=True)
         return out
 
-    def __add__(self, other):
-        return ideal_sum(self, other)
-
-    def __mul__(self, other):
-        return ideal_product(self, other)
-
-    def __pow__(self, n):
-        return ideal_power(self, n)
-
     def __repr__(self):
         gens = ", ".join(str(g) for g in self.generators)
         return f"Ideal({gens})"
@@ -635,12 +617,6 @@ def _dedupe(polys):
 def ideal_sum(I, J):
     _check_compatible(I, J)
     return Ideal(I.ring, _dedupe(list(I.generators) + list(J.generators)), I.order)
-
-
-def ideal_product(I, J):
-    _check_compatible(I, J)
-    gens = [f * g for f in I.generators for g in J.generators]
-    return Ideal(I.ring, _dedupe(gens), I.order)
 
 
 def ideal_power(I, n):

@@ -391,21 +391,19 @@ class _PolyParser:
         self.ring = ring
         self.generators = ring.field.named_generators()
 
-    def parse_expr(self, parse_term=None):
-        """A signed sum of terms; `parse_term` reads one term (a
-        polynomial term by default)."""
-        parse_term = parse_term or self.parse_term
+    def parse_expr(self):
+        """A signed sum of terms."""
         negate = self.ts.accept(SYM, "-") is not None
         if not negate:
             self.ts.accept(SYM, "+")
-        value = parse_term()
+        value = self.parse_term()
         if negate:
             value = -value
         while True:
             if self.ts.accept(SYM, "+"):
-                value = value + parse_term()
+                value = value + self.parse_term()
             elif self.ts.accept(SYM, "-"):
-                value = value - parse_term()
+                value = value - self.parse_term()
             else:
                 return value
 

@@ -3,14 +3,15 @@
 Deliberately does not reuse noethops.linalg: membership is decided by a
 plain forward-elimination span check written from scratch, so Groebner
 normal forms and Macaulay kernels are cross-checked against a second,
-unrelated computation path.  Monomials, shifts and the textbook monomial
-orders are written out here too, so nothing below calls the polynomial
-or Groebner code it checks.
+unrelated computation path.  Monomials, shifts, the textbook monomial
+orders and Grothendieck's bracket of a differential operator with a
+polynomial are written out here too, so nothing below calls the
+polynomial, Groebner or operator code it checks.
 """
 
 from functools import cmp_to_key
 from itertools import product
-from math import comb
+from math import comb, perm, prod
 from operator import add
 
 from noethops.fields import invert
@@ -70,6 +71,44 @@ def shifted_terms(f, point):
                 v = v * comb(e, j) * a ** (e - j)
             out[k] = out[k] + v if k in out else v
     return {k: v for k, v in out.items() if v}
+
+
+def derivative(terms, gamma):
+    """d^gamma of a polynomial's {monomial: c} terms: x^m becomes
+    m!/(m - gamma)! * x^(m - gamma), and 0 when gamma does not fit in m."""
+    out = {}
+    for m, c in terms.items():
+        if all(e >= g for e, g in zip(m, gamma)):
+            v = c * prod(map(perm, m, gamma))
+            if v:
+                out[tuple(e - g for e, g in zip(m, gamma))] = v
+    return out
+
+
+def bracket(op, r):
+    """Grothendieck's bracket [D, r] = D(r *) - r * D of an operator's
+    {(alpha, beta): c} terms with a polynomial's {monomial: c} terms (EGA
+    IV 16.8), expanded by Leibniz: d^beta(r f) is the sum over gamma <=
+    beta of C(beta, gamma) d^gamma(r) d^(beta - gamma)(f), and its
+    gamma = 0 term is r d^beta(f)."""
+    out = {}
+    for (alpha, beta), c in op.items():
+        for gamma in product(*(range(b + 1) for b in beta)):
+            if not any(gamma):
+                continue
+            rest = tuple(b - g for b, g in zip(beta, gamma))
+            scale = prod(map(comb, beta, gamma))
+            for m, rc in derivative(r, gamma).items():
+                key = (monomial_product(alpha, m), rest)
+                v = c * rc * scale
+                out[key] = out[key] + v if key in out else v
+    return {k: v for k, v in out.items() if v}
+
+
+def order(op):
+    """The order of an operator's {(alpha, beta): c} terms: the largest
+    |beta|, and -1 for the zero operator."""
+    return max((sum(beta) for _, beta in op), default=-1)
 
 
 class Span:

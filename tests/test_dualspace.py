@@ -6,7 +6,6 @@ import pytest
 import noethops.dualspace as dualspace
 from noethops.dualspace import (
     DualFunctional,
-    colength,
     functional_to_operator,
     noetherian_operators,
     stable_dual,
@@ -77,7 +76,8 @@ def test_truncated_dual_dimension_matches_oracle(rng):
             for lam in D:
                 for g in I.generators:
                     for gamma in monomials_up_to(2, k):
-                        assert not lam.pairing(R.monomial(gamma) * g.translate(ORIGIN))
+                        terms = (R.monomial(gamma) * g.translate(ORIGIN)).terms
+                        assert not sum(c * terms.get(m, 0) for m, c in lam.coords)
 
 
 def test_stable_dual_examples():
@@ -188,7 +188,7 @@ def test_certified_operators_decide_membership():
     cases = [(I, point, None) for I, point in _seeded_primary_ideals()]
     for I, point, n in cases + _curvilinear_ideals():
         res = noetherian_operators(I, point)
-        assert res.colength == colength(I, point) == len(I.standard_monomials())
+        assert res.colength == stable_dual(I, point).dimension == len(I.standard_monomials())
         if n is not None:
             assert (res.colength, res.truncation_order) == (2 * n, 2 * n - 1)
         S, k = I.ring, res.truncation_order
@@ -277,6 +277,8 @@ def test_finite_list_has_same_sol_as_span(rng):
 
 
 def test_down_shift_closure():
+    """The dual is closed under the down-shifts (sigma_i L)(f) = L(x_i * f),
+    which send e[m] to e[m / x_i] and drop the e[m] with no x_i."""
     for gens in [("x^2", "y"), ("x^2", "x*y", "y^2"), ("x^3", "y"), ("x^2", "y + x")]:
         I = ideal(R, *gens)
         basis = stable_dual(I, ORIGIN)
@@ -290,20 +292,11 @@ def test_down_shift_closure():
             span.insert(row)
         for lam in basis:
             for i in range(2):
-                shifted = lam.shift(i)
                 vec = [QQ.zero()] * len(columns)
-                for m, c in shifted.coords:
-                    vec[idx[m]] = c
+                for m, c in lam.coords:
+                    if m[i] > 0:
+                        vec[idx[m[:i] + (m[i] - 1,) + m[i + 1:]]] = c
                 assert span.contains(vec)
-
-
-# sigma_{-1} used to shift a made-up exponent onto the monomial, and
-# sigma_nvars died with "tuple index out of range".
-@pytest.mark.parametrize("i", [-1, R.nvars])
-def test_down_shift_refuses_a_variable_index_out_of_range(i):
-    lam = DualFunctional.from_dict(R, {(1, 1): QQ.one()})
-    with pytest.raises(IndexError, match=f"^variable index {i} out of range$"):
-        lam.shift(i)
 
 
 def test_mpower_containment():
@@ -317,15 +310,17 @@ def test_mpower_containment():
 
 
 def test_colength():
-    assert colength(ideal(R, "x^2", "y"), ORIGIN) == 2
-    assert colength(ideal(R, "x^2", "x*y", "y^2"), ORIGIN) == 3
-    assert colength(ideal(R, "x^3", "y"), ORIGIN) == 3
+    assert stable_dual(ideal(R, "x^2", "y"), ORIGIN).dimension == 2
+    assert stable_dual(ideal(R, "x^2", "x*y", "y^2"), ORIGIN).dimension == 3
+    assert noetherian_operators(ideal(R, "x^3", "y"), ORIGIN).colength == 3
 
 
 def test_colength_detects_wrong_point():
     # (x - 1) is not primary at the origin; the staircase disagrees
     with pytest.raises(NotZeroDimensionalError):
-        colength(ideal(R, "x - 1", "y"), ORIGIN)
+        stable_dual(ideal(R, "x - 1", "y"), ORIGIN)
+    with pytest.raises(NotZeroDimensionalError):
+        noetherian_operators(ideal(R, "x - 1", "y"), ORIGIN)
 
 
 R1 = PolyRing(QQ, ["x"])

@@ -14,7 +14,15 @@ from noethops.errors import (
     UnsupportedCharacteristicError,
 )
 from noethops.fields import GF, QQ, AlgExtField, RatFuncField, UniPoly
-from noethops.groebner import Ideal, MonomialOrder, ideal, ideal_equal, ideal_power, saturate
+from noethops.groebner import (
+    Ideal,
+    MonomialOrder,
+    ideal,
+    ideal_equal,
+    ideal_power,
+    ideal_sum,
+    saturate,
+)
 from noethops.poly import Polynomial, PolyRing, monomials_of_degree, monomials_up_to, to_unipoly
 from noethops.powers import (
     PrimeData,
@@ -246,10 +254,11 @@ def test_new_point_cubic_example():
     got = diff_power_new_point(J, origin(R3), 2)
     assert ideal_equal(got, ideal_power(m, 2))  # J sits inside m^2
     got4 = diff_power_new_point(J, origin(R3), 4)
-    want4 = ideal_power(m, 4) + J
+    want4 = ideal_sum(ideal_power(m, 4), J)
     assert ideal_equal(got4, want4)
-    # cross-check against m * m^3 + J
-    assert ideal_equal(got4, m * ideal_power(m, 3) + J)
+    # cross-check against m * m^3 + J, the product taken on generators
+    m_m3 = [f * g for f in m.generators for g in ideal_power(m, 3).generators]
+    assert ideal_equal(got4, ideal_sum(Ideal(R3, m_m3), J))
 
 
 def test_new_point_smooth_case():
