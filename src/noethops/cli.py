@@ -301,6 +301,8 @@ class _ScriptParser:
             self.script.commands.append(Command(word, pos, *command))
 
     def stmt_field(self, pos):
+        if self.script.ring is not None:  # the ring is built over the field already
+            raise ParseError("field declared after the ring", pos)
         self.script.field = parse_field_descriptor(self.ts)
         self._close()
 

@@ -78,10 +78,10 @@ The kernel computes on raw coefficients through its domain, ``_kernel``:
 ints over QQ, the field's own raw values (see ``fields``) otherwise.  Only
 ``Ideal`` converts: it packs generators and unpacks bases,
 ``leading_monomials`` and ``normal_form`` remainders.  Its cached records
-keep packed monomials and raw tails; ``normal_form`` and ``contains`` pack
-f straight onto them while f's exponents fit their width, and ``contains``
-stops at the first remainder term, whose scale does not matter, unpacking
-none.
+keep packed monomials and raw tails; ``normal_form``, ``contains`` and the
+derivative walk behind the classical differential power pack f straight
+onto them while f's exponents fit their width, and ``contains`` stops at
+the first remainder term, whose scale does not matter, unpacking none.
 
 Intersections and saturations go through an auxiliary variable w and a
 block order eliminating it, the standard single-variable constructions.
@@ -384,10 +384,6 @@ class _GB:
         self.syz = defaultdict(list)       # i: recorded syzygy signatures s
         self.by_index = defaultdict(list)  # i: (element, s) in the order added
 
-    def reduce(self, terms, s, i):
-        """The regular remainder of terms, biggest first, for signature (s, i)."""
-        return list(_reduce(terms, self.reducers, self.pk.guard, self.kernel.submul, s, i))
-
     def add(self, red, s, i):
         """Append a regular remainder with signature (s, i), queue its pairs
         with every older element and record their Koszul signatures."""
@@ -427,7 +423,7 @@ class _GB:
         """Reduced basis as packed (lt, 0, 0, tail, lc) records sorted
         ascending by leading monomial."""
         guard, queue = self.pk.guard, self.queue
-        one = self.kernel.one
+        one, submul = self.kernel.one, self.kernel.submul
         queue.extend((-min(t), i) for i, t in enumerate(gen_terms))
         heapify(queue)
         last = None
@@ -448,7 +444,7 @@ class _GB:
                 terms = [(lt + u, lc or one)] + [(m + u, c) for m, c in tail]
             else:
                 terms = gen_terms[i]
-            red = self.reduce(terms, s, i)
+            red = list(_reduce(terms, self.reducers, guard, submul, s, i))
             if red:
                 self.add(red, s, i)
             else:
@@ -458,7 +454,7 @@ class _GB:
         for lt, _, _, tail, lc in sorted(self.reducers, key=lambda r: -r[0]):
             if all((lt - k[0]) & guard for k in kept):
                 kept.append((lt, 0, 0, tail, lc))
-        record, submul = self.kernel.record, self.kernel.submul
+        record = self.kernel.record
         out = []
         for g, (lt, _, _, tail, lc) in enumerate(kept):
             # no other lt divides lt, so only the tail reduces; the lead, at
@@ -497,22 +493,24 @@ class Ideal:
     def groebner_basis(self):
         if self._gb is None:
             kernel = self._domain = _kernel(self.ring.field)
-            gens = [g.terms for g in self.generators]
+            gens = self.generators
 
             def build(pk):
-                if self._reduced:
-                    return sorted((pk.record(t, kernel) for t in gens), key=lambda r: -r[0])
-                return _GB(pk, kernel).run([kernel.enter(pk.pack, t)[0] for t in gens])
+                if self._reduced:  # in generator order
+                    return [pk.record(g.terms, kernel) for g in gens]
+                return _GB(pk, kernel).run([kernel.enter(pk.pack, g.terms)[0] for g in gens])
 
-            pk = _Packing(self.order, _width(chain.from_iterable(gens)))
-            self._records = pk, recs = _widening(pk, build)
-            if self._reduced:  # the generators themselves, in record order
-                self._gb = tuple(sorted(self.generators, key=lambda g: -min(map(pk.pack, g.terms))))
+            pk = _Packing(self.order, _width(chain.from_iterable(g.terms for g in gens)))
+            pk, recs = _widening(pk, build)
+            if self._reduced:  # the generators themselves, sorted with their records
+                ranked = sorted(zip(recs, gens), key=lambda rg: -rg[0][0])
+                recs, self._gb = [r for r, _ in ranked], tuple(g for _, g in ranked)
             else:
                 self._gb = tuple(
                     Polynomial(self.ring, kernel.monic(lt, tail, lc, pk.unpack))
                     for lt, _, _, tail, lc in recs
                 )
+            self._records = pk, recs
         return self._gb
 
     def _packed_basis(self):
@@ -521,10 +519,10 @@ class Ideal:
         return self._records
 
     def _fitted(self, f, work):
-        """(packing, work(packing, records, f's packed raw terms, the factor
-        that cleared them)) by _widening from the cached packing when f's
-        exponents fit it, else from the first packing they fit; a basis
-        repacked at a wider one is kept."""
+        """work(packing, records, f's packed raw terms, the factor that
+        cleared them) by _widening from the cached packing when f's exponents
+        fit it, else from the first packing they fit; a basis repacked at a
+        wider one is kept."""
         if f.ring != self.ring:
             raise IncompatibleFieldError("polynomial from a different ring")
         pk, width = self._packed_basis()[0], _width(f.terms)
@@ -535,7 +533,7 @@ class Ideal:
                 self._records = pk, [pk.record(g.terms, kernel) for g in self._gb]
             return work(*self._records, *kernel.enter(pk.pack, f.terms))
 
-        return _widening(pk if width <= pk.width else _Packing(self.order, width), rework)
+        return _widening(pk if width <= pk.width else _Packing(self.order, width), rework)[1]
 
     def normal_form(self, f):
         """Remainder of multivariate division by the reduced basis;
@@ -544,12 +542,38 @@ class Ideal:
             kernel = self._domain
             return kernel.values(_reduce(t, records, pk.guard, kernel.submul), clear, pk.unpack)
 
-        return Polynomial(self.ring, self._fitted(f, work)[1])
+        return Polynomial(self.ring, self._fitted(f, work))
 
     def contains(self, f):
         """Membership, stopping at the first remainder term; nothing unpacks."""
         return not self._fitted(f, lambda pk, records, t, _: next(
-            _reduce(t, records, pk.guard, self._domain.submul), None))[1]
+            _reduce(t, records, pk.guard, self._domain.submul), None))
+
+    def _derivatives_in(self, f, n, orders):
+        """Whether every d^beta f with |beta| < n and |beta| in orders lies
+        in the ideal, over characteristic 0 (where e * c is nonzero for a
+        nonzero c): the walk behind the classical differential power.  The
+        d^beta f come by |beta|, each d_j of its parent on the packed raw
+        terms the basis reduces against; a child of d_i g is d_j g for
+        j >= i, so each beta comes once.  Zero derivatives prune, and the
+        first that has a remainder term (as ``contains`` reads it) ends the
+        walk."""
+        nvars = self.ring.nvars
+
+        def work(pk, records, terms, _):
+            times, submul = self._domain.times, self._domain.submul
+            level = [(0, terms)]  # (j of the last d_j, derivative)
+            for k in range(n):
+                if k:
+                    level = [(j, d) for i, g in level for j in range(i, nvars)
+                             if (d := pk.derive(g, j, times))]
+                if not level:
+                    break
+                if k in orders and any(next(_reduce(g, records, pk.guard, submul), None) for _, g in level):
+                    return False
+            return True
+
+        return self._fitted(f, work)
 
     def is_unit_ideal(self):
         gb = self.groebner_basis

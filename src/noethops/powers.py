@@ -12,8 +12,9 @@ exactly at desk scale:
   prime keeps the powers it builds.
 * ``univariate-algebraic``: p = (m(x)) in K[x] with m monic and
   caller-certified irreducible; the solution-set power is m^j with j
-  read from the exponents of m, no extension field built.  This is the
-  home of the inseparability phenomena.
+  read from the exponents of m by ``diff_power_new_univariate``, no
+  extension field built.  This is the home of the inseparability
+  phenomena.
 * ``general-with-witness``: any prime together with an element s not in
   p that is known to lie in every other associated prime of p^n, so the
   symbolic power is the saturation (p^n : s^infinity).
@@ -23,9 +24,11 @@ membership predicate generated by iterated partial derivatives, read at a
 rational point from the Taylor coefficients of degree < n of f(x + a),
 shifted on raw coefficients (``Polynomial.translate`` stays on wrapped
 values until the benchmark's peak memory stops counting jobs), and
-elsewhere from each d^beta f, one partial of its parent on packed raw
-terms; that description is only valid over characteristic zero, so
-anything else is refused rather than silently approximated.
+elsewhere by ``diff_power_classical_member``, whose walk over the d^beta f,
+each one partial of its parent, is ``Ideal``'s own, on the packed raw terms
+its basis reduces against; that description is only valid over
+characteristic zero, so anything else is refused rather than silently
+approximated.
 """
 
 import sys
@@ -39,7 +42,7 @@ from .errors import (
     PointNotOnVarietyError,
     UnsupportedCharacteristicError,
 )
-from .groebner import Ideal, _kernel, _reduce, ideal_equal, ideal_power, ideal_sum, saturate
+from .groebner import Ideal, ideal_equal, ideal_power, ideal_sum, saturate
 from .linalg import kernel_basis
 from .poly import Polynomial, monomial_div, monomials_of_degree, monomials_up_to, to_unipoly
 
@@ -111,52 +114,6 @@ def symbolic_power(p, n):
     return saturate(pn, p.witness)
 
 
-def _classical_member(I, n):
-    """diff_power_classical_member for fixed I and n: the d^beta f, |beta| < n,
-    by |beta|, on the packed raw terms that I reduces against.  A child of
-    d_i g is d_j g for j >= i, so each beta comes once.  Zero derivatives
-    prune, and the first that has a remainder term (as contains reads it)
-    ends the walk; a homogeneous f has only itself and its top order
-    tested."""
-    if n < 1:
-        raise ValueError("differential power requires n >= 1")
-    ring, dom = I.ring, I.ring.field
-    if dom.characteristic != 0:
-        raise UnsupportedCharacteristicError(
-            "the classical differential power involves divided-power "
-            "operators in positive characteristic; refusing to compute "
-            "with derivations only"
-        )
-    kernel = _kernel(dom)  # e is nonzero in characteristic 0, so times(c, e) is too
-    times, submul = kernel.times, kernel.submul
-
-    def walk(tested, pk, records, terms, _):  # tested: the top order to test, None for every order
-        level = [(0, terms)]  # (j of the last d_j, derivative)
-        for k in range(n):
-            if k:
-                level = [(j, d) for i, g in level for j in range(i, ring.nvars)
-                         if (d := pk.derive(g, j, times))]
-            if not level:
-                break
-            if (tested is None or k in (0, tested)) and any(
-                    next(_reduce(g, records, pk.guard, submul), None) for _, g in level):
-                return False
-        return True
-
-    def member(f):
-        if f.ring.nvars != ring.nvars:  # as diff_multi refuses a beta of I's arity
-            raise ArityMismatchError(f"expected {f.ring.nvars} exponents, got {ring.nvars}")
-        # Euler: d * g = sum x_j d_j g for g homogeneous of degree d, so when f
-        # is homogeneous of degree D the derivatives of order min(n - 1, D)
-        # decide, as those of each lower order have degree >= 1; f itself is
-        # still tested first, the cheap way out for a nonmember
-        degrees = {sum(m) for m in f.terms}
-        tested = min(n - 1, *degrees) if len(degrees) == 1 else None
-        return I._fitted(f, partial(walk, tested))[1]
-
-    return member
-
-
 def _taylor_member(p, n):
     """The classical predicate at a rational point in characteristic 0: by
     Taylor, d^beta f(a) = beta! [x^beta] f(x + a), so f is a member exactly
@@ -203,8 +160,27 @@ def _taylor_member(p, n):
 def diff_power_classical_member(I, n, f):
     """Membership in {f : delta(f) in I for all operators of order < n
     from the ring to itself}; over characteristic zero those operators
-    are generated by iterated partials."""
-    return _classical_member(I, n)(f)
+    are generated by iterated partials, so f is a member exactly when
+    every d^beta f with |beta| < n lies in I; ``Ideal`` walks them on the
+    terms its basis reduces against.  Euler: d * g = sum x_j d_j g for g
+    homogeneous of degree d, so when f is homogeneous of degree D the
+    derivatives of order min(n - 1, D) decide, as those of each lower order
+    have degree >= 1; f itself is still tested first, the cheap way out for
+    a nonmember.  The chain checker asks this off a rational point and
+    ``_taylor_member`` at one."""
+    if n < 1:
+        raise ValueError("differential power requires n >= 1")
+    if I.ring.field.characteristic != 0:
+        raise UnsupportedCharacteristicError(
+            "the classical differential power involves divided-power "
+            "operators in positive characteristic; refusing to compute "
+            "with derivations only"
+        )
+    if f.ring.nvars != I.ring.nvars:  # as diff_multi refuses a beta of I's arity
+        raise ArityMismatchError(f"expected {f.ring.nvars} exponents, got {I.ring.nvars}")
+    degrees = {sum(m) for m in f.terms}
+    orders = (0, min(n - 1, *degrees)) if len(degrees) == 1 else range(n)
+    return I._derivatives_in(f, n, orders)
 
 
 def diff_power_classical_graded(I, n, degree_bound):
@@ -276,32 +252,15 @@ def diff_power_new_univariate(p, n):
     """
     if p.kind != UNIVARIATE:
         raise ValueError("univariate solution-set power needs a univariate prime")
-    return diff_power_new(p, n)
-
-
-def _solution_set_exponent(p, n):
-    """The j with p^j the solution-set power of p: n at a rational point,
-    where J = 0 and J + m^n = p^n, and ceil(n / e) for a univariate prime,
-    e = q^k the largest power of the characteristic q dividing every
-    exponent of m (1 when q = 0), which is ord_u(m) because the caller
-    certifies m irreducible; refused for a general prime given only by a
-    witness."""
     if n < 1:
         raise ValueError("differential power requires n >= 1")
-    if p.kind == RATIONAL_POINT:
-        return n
-    if p.kind == UNIVARIATE:
-        q = p.ring.field.characteristic
-        g = gcd(*(d for (d,) in p.minpoly.terms))  # > 0: m is nonconstant
-        e = 1
-        while q and g % q == 0:
-            g //= q
-            e *= q
-        return -(-n // e)
-    raise UnsupportedCharacteristicError(
-        "solution-set differential powers need a rational-point "
-        "or univariate-algebraic prime"
-    )
+    q = p.ring.field.characteristic
+    g = gcd(*(d for (d,) in p.minpoly.terms))  # > 0: m is nonconstant
+    e = 1
+    while q and g % q == 0:
+        g //= q
+        e *= q
+    return _prime_power(p, -(-n // e))
 
 
 def _prime_power(p, j):
@@ -340,9 +299,20 @@ def _prime_power(p, j):
 
 
 def diff_power_new(p, n):
-    """Solution-set differential power of a prime, by the prime's kind;
-    refused for a general prime given only by a witness."""
-    return _prime_power(p, _solution_set_exponent(p, n))
+    """Solution-set differential power of a prime, by the prime's kind: p^n
+    at a rational point, where J = 0 and J + m^n = p^n;
+    ``diff_power_new_univariate`` for a univariate prime; refused for a
+    general prime given only by a witness."""
+    if n < 1:
+        raise ValueError("differential power requires n >= 1")
+    if p.kind == RATIONAL_POINT:
+        return _prime_power(p, n)
+    if p.kind == UNIVARIATE:
+        return diff_power_new_univariate(p, n)
+    raise UnsupportedCharacteristicError(
+        "solution-set differential powers need a rational-point "
+        "or univariate-algebraic prime"
+    )
 
 
 VERDICT_SUBSET = "subset"
@@ -465,8 +435,10 @@ def chain_check(p, n, agreement_bound=None):
     else:
         report.classical_available = True
         report.classical_note = "membership predicate via iterated partials"
-        at_point = p.kind == RATIONAL_POINT
-        member = _taylor_member(p, n) if at_point else _classical_member(p.ideal, n)
+        if p.kind == RATIONAL_POINT:
+            member = _taylor_member(p, n)
+        else:
+            member = partial(diff_power_classical_member, p.ideal, n)
         ok = all(member(g) for g in inner.generators)
         report.verdicts.append(Verdict(inner_name, VERDICT_SUBSET, "classical", ok))
         if agreement_bound is not None:

@@ -272,6 +272,9 @@ def test_bound_name_in_an_expression_is_refused(tmp_path, capsys):
 CONTRACT = [
     ("duplicate-variable", "field QQ; ring [x, x];", 2,
      {"stderr": "input error: variable names must be distinct and nonempty (at position 10)"}),
+    # the ring is built over the field already, so a later field is refused
+    ("field-after-ring", "field QQ; ring [x]; field Fp(5); ideal I = 5*x; gb I;", 2,
+     {"stderr": "input error: field declared after the ring (at position 20)"}),
     ("huge-sympow", "field QQ; ring [x, y]; prime m = x, y : point (0, 0); "
      "sympow m 99999999999999999999;", 2, {"error": "ideal power exponent exceeds "}),
     ("huge-diffpow", "field QQ; ring [x, y]; prime m = x, y : point (0, 0); "

@@ -6,6 +6,7 @@ from math import isqrt
 
 import pytest
 
+from noethops import powers
 from noethops.cli import parse_script, run
 from noethops.errors import (
     ArityMismatchError,
@@ -485,6 +486,36 @@ def test_chain_check_twisted_cubic_agreement():
     assert report.all_hold()
     agree = [v for v in report.verdicts if v.relation == "agrees-on-monomials"]
     assert agree and agree[0].holds
+
+
+def test_chain_check_calls_the_public_entry_points(monkeypatch):
+    # the bench tracer wraps these module attributes, so its per-layer
+    # figures for them read the chain checker's classical walk and the
+    # univariate rule only if the work goes through them
+    calls = []
+
+    def counted(name):
+        function = getattr(powers, name)
+
+        def wrapper(*args):
+            calls.append(name)
+            return function(*args)
+
+        monkeypatch.setattr(powers, name, wrapper)
+
+    counted("diff_power_classical_member")
+    counted("diff_power_new_univariate")
+    report = chain_check(twisted_cubic_prime(), 2, agreement_bound=2)
+    assert report.all_hold()
+    # once per generator of the symbolic power, once per monomial of degree <= 2
+    assert calls == ["diff_power_classical_member"] * (len(report.symbolic.generators) + 15)
+    calls.clear()
+    report = chain_check(univariate_sqrt2(), 3)
+    assert report.all_hold()
+    assert calls == ["diff_power_new_univariate"] + ["diff_power_classical_member"] * len(report.new_diff.generators)
+    calls.clear()
+    assert diff_power_new(univariate_insep(3), 4).generators[0].total_degree() == 6
+    assert calls == ["diff_power_new_univariate"]
 
 
 def test_n1_degeneracy():
