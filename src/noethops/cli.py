@@ -21,7 +21,9 @@ error, 3 unsupported computation.
 """
 
 import argparse
+import copy
 import json
+import re
 import sys
 
 from .dualspace import noetherian_operators
@@ -68,8 +70,13 @@ KEYWORDS = DECLARATIONS + COMMANDS + ASSERTIONS
 IDEAL_KINDS = {"ideal", "prime"}
 
 
+# A comment runs from '#' to the end of its line, as str.splitlines ends it.
+_COMMENT_RE = re.compile("#[^\n\r\v\f\x1c\x1d\x1e\x85\u2028\u2029]*")
+
+
 def _strip_comments(text):
-    return "\n".join(line.split("#", 1)[0] for line in text.splitlines())
+    """text with each comment blanked out, so that positions count in text."""
+    return _COMMENT_RE.sub(lambda m: " " * len(m[0]), text)
 
 
 def parse_field_descriptor(ts):
@@ -544,7 +551,10 @@ def _worst(codes):
 def run(script, only=None, default_bound=None):
     """Execute a parsed script.  Per-command errors are captured and the
     run continues; the report carries everything needed for the exit
-    code."""
+    code.  Results are bound in a scope of this run, so the script is left
+    as parsing made it."""
+    scope = copy.copy(script)
+    scope.objects = dict(script.objects)
     entries = []
     counts = {"errors": 0, "unsupported": 0, "failed_assertions": 0}
     for cmd in script.commands:
@@ -552,7 +562,7 @@ def run(script, only=None, default_bound=None):
             continue
         entry = {"command": cmd.kind}
         try:
-            fields, value = cmd.execute(script, default_bound)
+            fields, value = cmd.execute(scope, default_bound)
         except UnsupportedCharacteristicError as exc:
             entry["status"] = "unsupported"
             entry["error"] = str(exc)
@@ -563,7 +573,7 @@ def run(script, only=None, default_bound=None):
             counts["errors"] += 1
         else:
             if cmd.bind:
-                script.objects[cmd.bind] = ("ideal", value)
+                scope.objects[cmd.bind] = ("ideal", value)
             if fields.pop("failed", False):
                 entry["status"] = "failed"
                 counts["failed_assertions"] += 1

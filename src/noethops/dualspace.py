@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from math import factorial, prod
 
 from .errors import NotZeroDimensionalError, UnsupportedCharacteristicError
-from .fields import format_elem, format_terms, invert, monomial_text
+from .fields import format_terms, invert, monomial_text
 from .linalg import kernel_basis
 from .poly import grevlex_key, monomial_mul, monomials_up_to
 from .weyl import DiffOp, SolTarget
@@ -159,7 +159,7 @@ class NoethResult:
     def to_json(self):
         witness = self.witness_outside_ideal
         return {
-            "point": [format_elem(c) for c in self.point],
+            "point": [str(c) for c in self.point],
             "colength": self.colength,
             "truncation_order": self.truncation_order,
             "operators": [op.to_json() for op in self.operators],

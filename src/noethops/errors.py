@@ -19,8 +19,8 @@ class InconsistentExtensionError(NoethopsError):
 
 
 class ParseError(NoethopsError, ValueError):
-    """Syntax error in a polynomial, operator or script.  Carries the
-    character position of the offending token."""
+    """Syntax error in a polynomial or a script.  Carries the character
+    position of the offending token in the text as given."""
 
     def __init__(self, message, pos=None):
         self.pos = pos

@@ -39,9 +39,12 @@ own.
 
 A value of ``GF(p)`` or of a tower is one class, :class:`FieldValue`: its
 ``field`` and its raw value ``raw``, each operator one raw operation of the
-field.  :class:`RingValue` is the base it shares with ``Polynomial``:
-``-``, reflected ``-``, ``==`` and ``**`` by square-and-multiply from a
-type's ``_lift``, ``+``, unary ``-``, ``*``, ``_key()`` and ``_one()``.
+field, and its text ``format_raw(raw)``.  ``str`` is the one element
+formatter: a Fraction prints as itself, and ``format_terms`` prints
+coefficients with it.  :class:`RingValue` is the base it shares with
+``Polynomial``: ``-``, reflected ``-``, ``==`` and ``**`` by
+square-and-multiply from a type's ``_lift``, ``+``, unary ``-``, ``*``,
+``_key()`` and ``_one()``.
 :class:`UniPoly` is a boundary type, not a value: a list of raw values
 over a field, which names a minimal polynomial and is what ``to_unipoly``
 returns; it compares and prints but does not compute.
@@ -88,9 +91,9 @@ def _is_prime(n):
 class Field:
     """What the four coefficient fields share: identity from ``_ident()``,
     no named generators, values that hold their raw value (QQ's are
-    Fractions instead), ``format`` through the raw value, and arithmetic on
-    lists of raw values.  The list methods call only the field's own raw
-    operations, so they serve every level of a tower."""
+    Fractions instead), and arithmetic on lists of raw values.  The list
+    methods call only the field's own raw operations, so they serve every
+    level of a tower."""
 
     def _ident(self):
         return ()
@@ -133,9 +136,6 @@ class Field:
         v = object.__new__(FieldValue)
         v.field, v.raw = self, r
         return v
-
-    def format(self, a):
-        return self.format_raw(self.to_raw(a))
 
     def padd(self, a, b):
         if len(a) < len(b):
@@ -357,7 +357,7 @@ class FieldValue(RingValue):
         return self.field._hash(self.raw)
 
     def __repr__(self):
-        return self.field.format(self)
+        return self.field.format_raw(self.raw)
 
 
 class RationalField(Field):
@@ -376,9 +376,6 @@ class RationalField(Field):
         if isinstance(x, int):
             return Fraction(x)
         raise IncompatibleFieldError(f"cannot coerce {x!r} into QQ")
-
-    def format(self, a):
-        return str(a)
 
     def format_raw(self, r):
         return "0" if not r else str(r[0]) if r[1] == 1 else f"{r[0]}/{r[1]}"
@@ -691,10 +688,6 @@ def field_of(x):
     raise IncompatibleFieldError(f"{x!r} is not a field element")
 
 
-def format_elem(x):
-    return field_of(x).format(x)
-
-
 def extends(big, small):
     """True when `big` equals `small` or sits above it in a field tower."""
     while big != small:
@@ -727,7 +720,7 @@ def monomial_text(names, exps):
     return "*".join(n if e == 1 else f"{n}^{e}" for n, e in zip(names, exps) if e)
 
 
-def format_terms(terms, fmt=format_elem):
+def format_terms(terms, fmt=str):
     """Signed sum of (coefficient, monomial text) pairs in display order,
     'c*m + ... - c*m', each coefficient printed by fmt; an empty monomial
     text marks the constant term, and no pairs format as '0'.  Coefficients

@@ -74,14 +74,16 @@ the width; a Koszul signature that overflows is only left unrecorded.  So
 no result depends on the width, and no input is refused for the size
 of its exponents.
 
-The kernel computes on raw coefficients through its domain, ``_kernel``:
-ints over QQ, the field's own raw values (see ``fields``) otherwise.  Only
-``Ideal`` converts: it packs generators and unpacks bases,
-``leading_monomials`` and ``normal_form`` remainders.  Its cached records
-keep packed monomials and raw tails; ``normal_form``, ``contains`` and the
-derivative walk behind the classical differential power pack f straight
-onto them while f's exponents fit their width, and ``contains`` stops at
-the first remainder term, whose scale does not matter, unpacking none.
+The kernel computes on raw coefficients through its domain, which ``Ideal``
+picks once: ints over QQ, the field's own raw values (see ``fields``)
+otherwise.  A domain packs by ``enter`` and ``record`` and unpacks by
+``values``, and only ``Ideal`` converts: it packs generators and unpacks
+bases, ``leading_monomials`` and ``normal_form`` remainders.  Its cached
+records keep packed monomials and raw tails; ``normal_form``, ``contains``
+and the derivative walk behind the classical differential power pack f
+straight onto them while f's exponents fit their width, and ``contains``
+stops at the first remainder term, whose scale does not matter, unpacking
+none.
 
 Intersections and saturations go through an auxiliary variable w and a
 block order eliminating it, the standard single-variable constructions.
@@ -207,11 +209,11 @@ class _Packing:
                 for m, c in terms.items() if (e := m >> shift & mask)}
 
     def record(self, terms, kernel):
-        """The (lt, 0, 0, tail, lc) reducer of a monic polynomial's terms,
-        the tail biggest first."""
+        """The (lt, 0, 0, tail, lc) reducer of a polynomial's terms, the tail
+        biggest first."""
         packed = sorted(kernel.enter(self.pack, terms)[0].items())
-        (lt, lc), tail = packed[0], tuple(packed[1:])
-        return lt, 0, 0, tail, None if lc == kernel.one else lc
+        lt, tail, lc = kernel.record([(m, c, 1) for m, c in packed])
+        return lt, 0, 0, tail, lc
 
     def lcm(self, a, b):
         """lcm(a, b), packed."""
@@ -262,11 +264,6 @@ class _Monic:
         from_raw = self.field.from_raw
         return {unpack(m): from_raw(c) for m, c, _ in rem}
 
-    def monic(self, lt, tail, lc, unpack):
-        """A record's term map of field values, its lead coefficient one."""
-        from_raw = self.field.from_raw
-        return {unpack(m): from_raw(c) for m, c in ((lt, self.one),) + tail}
-
 
 class _Integers:
     """QQ inside the kernel: a polynomial enters as ints, times the lcm of
@@ -300,17 +297,8 @@ class _Integers:
     def values(self, rem, clear, unpack):
         return {unpack(m): Fraction(c, clear * k) for m, c, k in rem}
 
-    def monic(self, lt, tail, lc, unpack):
-        lc = lc or 1
-        return {unpack(m): Fraction(c, lc) for m, c in ((lt, lc),) + tail}
-
 
 _INTEGERS, _monic = _Integers(), cache(_Monic)
-
-
-def _kernel(field):
-    """The kernel's domain for a field: ints for QQ, raw values otherwise."""
-    return _INTEGERS if isinstance(field, RationalField) else _monic(field)
 
 
 def _reduce(terms, reducers, guard, submul, s=float("-inf"), i=0):
@@ -486,14 +474,14 @@ class Ideal:
         self.order = order if order is not None else MonomialOrder.grevlex(ring)
         self._gb = None
         self._records = None  # (packing, records)
-        self._domain = None  # the kernel's domain, looked up with the basis
+        # the kernel's domain: ints for QQ, the field's raw values otherwise
+        self._domain = _INTEGERS if isinstance(ring.field, RationalField) else _monic(ring.field)
         self._reduced = reduced
 
     @property
     def groebner_basis(self):
         if self._gb is None:
-            kernel = self._domain = _kernel(self.ring.field)
-            gens = self.generators
+            kernel, gens = self._domain, self.generators
 
             def build(pk):
                 if self._reduced:  # in generator order
@@ -505,9 +493,11 @@ class Ideal:
             if self._reduced:  # the generators themselves, sorted with their records
                 ranked = sorted(zip(recs, gens), key=lambda rg: -rg[0][0])
                 recs, self._gb = [r for r, _ in ranked], tuple(g for _, g in ranked)
-            else:
+            else:  # a record is its monic element cleared by lc
+                one = kernel.one
                 self._gb = tuple(
-                    Polynomial(self.ring, kernel.monic(lt, tail, lc, pk.unpack))
+                    Polynomial(self.ring, kernel.values(
+                        [(lt, lc or one, 1), *[(m, c, 1) for m, c in tail]], lc or 1, pk.unpack))
                     for lt, _, _, tail, lc in recs
                 )
             self._records = pk, recs

@@ -28,7 +28,7 @@ from .errors import (
     ParseError,
     UnknownVariableError,
 )
-from .fields import RingValue, extends, field_of, format_terms, invert, monomial_text
+from .fields import RingValue, field_of, format_terms, invert, monomial_text
 
 
 def grevlex_key(mono):
@@ -255,33 +255,21 @@ class Polynomial(RingValue):
         return Polynomial(self.ring, out)
 
     def evaluate(self, coords):
-        """Value at a point; coordinates may lie in a field extension."""
+        """Value at a point, in the field that the coordinates' sum with the
+        ring field's zero lands in by the tower rule of the field
+        arithmetic: coordinates may lie higher up the ring field's tower,
+        and one off it raises IncompatibleFieldError, used by f or not."""
         coords = list(coords)
         if len(coords) != self.ring.nvars:
             raise ArityMismatchError(
                 f"point has {len(coords)} coordinates, ring has {self.ring.nvars} variables"
             )
-        target = self.ring.field
-        for c in coords:
-            if isinstance(c, int):
-                continue
-            f = field_of(c)
-            if f == target:
-                continue
-            if extends(f, target):
-                target = f
-            elif not extends(target, f):
-                raise IncompatibleFieldError(
-                    f"coordinate field {f!r} incompatible with {target!r}"
-                )
-        coords = [target.coerce(c) for c in coords]
-        total = target.zero()
+        total = field_of(sum(coords, self.ring.field.zero())).zero()
         for m, c in self.terms.items():
-            v = target.coerce(c)
             for x, e in zip(coords, m):
                 if e:
-                    v = v * x**e
-            total = total + v
+                    c = c * x**e
+            total = total + c
         return total
 
     def translate(self, coords):
@@ -327,7 +315,7 @@ def to_unipoly(f):
     return UniPoly(field, coeffs)
 
 
-# --- tokenizer, shared with the operator and script parsers ---------------
+# --- tokenizer, shared with the script parser ------------------------------
 
 _TOKEN_RE = re.compile(r"\s*(?:(\d+)|([A-Za-z_][A-Za-z0-9_]*)|(.))")
 

@@ -10,7 +10,7 @@ vanishes at a point when it evaluates to zero there.
 """
 
 from .errors import IncompatibleFieldError
-from .fields import format_elem, format_terms, monomial_text
+from .fields import format_terms, monomial_text
 from .poly import Polynomial, add_into, grevlex_key, monomial_mul
 
 
@@ -63,7 +63,7 @@ class DiffOp:
 
     def to_json(self):
         return [
-            {"xexp": list(a), "dexp": list(b), "coeff": format_elem(c)}
+            {"xexp": list(a), "dexp": list(b), "coeff": str(c)}
             for (a, b), c in self.sorted_terms()
         ]
 
@@ -85,7 +85,7 @@ class SolTarget:
     @classmethod
     def at_point(cls, point):
         point = tuple(point)
-        return cls(lambda g: not g.evaluate(point), f"at {point}")
+        return cls(lambda g: not g.evaluate(point), f"at ({', '.join(map(str, point))})")
 
     def __repr__(self):
         return f"SolTarget({self.label})"

@@ -28,10 +28,15 @@ def test_parse_script_duplicate_name():
         parse_script("field QQ; ring [x,y]; ideal I = x; ideal I = y;")
 
 
-def test_parse_script_syntax_error_position():
+@pytest.mark.parametrize("text, pos", [
+    ("field QQ; ring [x,y]; ideal I = x +;", 35),
+    ("field QQ; # a long comment here\nring [x];\nbogus;", 42),
+    ("field QQ;\r\nring [x];\r\nbogus;", 22),
+], ids=["dangling-operator", "after-a-comment", "after-crlf"])
+def test_parse_script_syntax_error_position(text, pos):
     with pytest.raises(ParseError) as err:
-        parse_script("field QQ; ring [x,y]; ideal I = x +;")
-    assert err.value.pos is not None
+        parse_script(text)
+    assert err.value.pos == pos
 
 
 def test_parse_example_53_script():
@@ -125,6 +130,14 @@ def test_subcommand_filtering():
     report = run(script, only="gb")
     assert [e["command"] for e in report["commands"]] == ["gb"]
     assert report["commands"][0]["basis"] == ["y", "x"]
+
+
+def test_run_leaves_the_script_unbound():
+    script = parse_script("field QQ; ring [x]; ideal I = x^2; gb I as G; nf x, G;")
+    assert run(script, only="nf")["status"]["exit_code"] == 2
+    assert run(script)["status"]["exit_code"] == 0
+    assert run(script, only="nf")["status"]["exit_code"] == 2
+    assert script.objects["G"] == ("ideal", None)
 
 
 def test_gb_and_binding_roundtrip():

@@ -7,6 +7,7 @@ import pytest
 
 from noethops.errors import (
     ArityMismatchError,
+    IncompatibleFieldError,
     ParseError,
     UnknownVariableError,
 )
@@ -237,6 +238,20 @@ def test_evaluate_at_coordinates_from_two_levels_of_a_tower():
     v, w = Qv.generator(), Qvw.generator()
     got = PolyRing(QQ, ["x", "y"]).parse("x^2*y - x*y^2").evaluate([v, w])
     assert got.field == Qvw and got == 2 * w - 3 * v
+
+
+def test_evaluate_follows_the_tower_rule():
+    Qv = AlgExtField(QQ, "v", UniPoly(QQ, [Fraction(-2), Fraction(0), Fraction(1)]))
+    Qw = AlgExtField(QQ, "w", UniPoly(QQ, [Fraction(-3), Fraction(0), Fraction(1)]))
+    R = PolyRing(QQ, ["x", "y"])
+    with pytest.raises(IncompatibleFieldError):  # y's coordinate is off x's tower
+        R.var(0).evaluate([Qv.generator(), Qw.generator()])
+    F3TS = RatFuncField(RatFuncField(GF(3), "t"), "s")
+    s = F3TS.generator()
+    got = PolyRing(GF(3), ["x", "y"]).parse("x + 1").evaluate([1, s])
+    assert got.field == F3TS and got == F3TS.from_int(2)
+    zero = R.zero().evaluate([1, Qv.generator()])
+    assert zero.field == Qv and not zero
 
 
 def test_translate():

@@ -199,6 +199,12 @@ def test_sol_membership_incompatible_target_field():
         sol_membership([ONE], target, x)
 
 
+@pytest.mark.parametrize("field", [QQ, GF(5)], ids=repr)
+def test_target_label_prints_each_coordinate(field):
+    target = SolTarget.at_point([field.zero(), field.from_int(3)])
+    assert repr(target) == "SolTarget(at (0, 3))"
+
+
 def test_operator_json():
     op = DiffOp(R, {((1, 0), (1, 0)): QQ.one(), (Z, (0, 1)): -QQ.one()})
     records = op.to_json()
