@@ -563,9 +563,9 @@ def run(script, only=None, default_bound=None):
         entry = {"command": cmd.kind}
         try:
             fields, value = cmd.execute(scope, default_bound)
-        except UnsupportedCharacteristicError as exc:
+        except (UnsupportedCharacteristicError, MemoryError) as exc:
             entry["status"] = "unsupported"
-            entry["error"] = str(exc)
+            entry["error"] = "out of memory" if isinstance(exc, MemoryError) else str(exc)
             counts["unsupported"] += 1
         except (NoethopsError, ValueError, ZeroDivisionError) as exc:
             entry["status"] = "error"

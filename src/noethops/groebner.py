@@ -79,11 +79,12 @@ picks once: ints over QQ, the field's own raw values (see ``fields``)
 otherwise.  A domain packs by ``enter`` and ``record`` and unpacks by
 ``values``, and only ``Ideal`` converts: it packs generators and unpacks
 bases, ``leading_monomials`` and ``normal_form`` remainders.  Its cached
-records keep packed monomials and raw tails; ``normal_form``, ``contains``
-and the derivative walk behind the classical differential power pack f
-straight onto them while f's exponents fit their width, and ``contains``
-stops at the first remainder term, whose scale does not matter, unpacking
-none.
+records keep packed monomials and raw tails; one read path packs a batch
+of polynomials, or of exponent tuples as one packed int each, onto them at
+a width fitted once to the batch, and yields each result lazily.
+``members``, which stops at each item's first remainder term and unpacks
+none, and the derivative walk behind the classical differential power read
+batches; ``normal_form`` and ``contains`` are one-item batches.
 
 Intersections and saturations go through an auxiliary variable w and a
 block order eliminating it, the standard single-variable constructions.
@@ -508,50 +509,70 @@ class Ideal:
         self.groebner_basis  # builds both on first use
         return self._records
 
-    def _fitted(self, f, work):
-        """work(packing, records, f's packed raw terms, the factor that
-        cleared them) by _widening from the cached packing when f's exponents
-        fit it, else from the first packing they fit; a basis repacked at a
-        wider one is kept."""
-        if f.ring != self.ring:
-            raise IncompatibleFieldError("polynomial from a different ring")
-        pk, width = self._packed_basis()[0], _width(f.terms)
+    def _fitted(self, items, work):
+        """Yield work(packing, records, packed raw terms, the factor that
+        cleared them) for each item, a Polynomial or an exponent tuple (one
+        packed int with the domain's one), lazily and in order.  Each starts at
+        the cached packing when the batch's largest exponent fits it, else at
+        the first packing it fits; as in _widening, inline to save a call per
+        item, an item that overflows is redone at twice the width, and a wider
+        basis is kept for later items."""
+        items, monomials = list(items), []
+        for f in items:
+            if type(f) is not tuple and f.ring != self.ring:
+                raise IncompatibleFieldError("polynomial from a different ring")
+            monomials += [f] if type(f) is tuple else f.terms
+        width, kernel, one = _width(monomials), self._domain, self._domain.one
+        self._packed_basis()  # builds the basis and its packing on first use
+        for f in items:
+            pk = self._records[0]
+            if width > pk.width:
+                pk = _Packing(self.order, width)
+            while True:
+                if pk is not self._records[0]:
+                    self._records = pk, [pk.record(g.terms, kernel) for g in self._gb]
+                try:
+                    t, clear = ({pk.pack(f): one}, 1) if type(f) is tuple else kernel.enter(pk.pack, f.terms)
+                    out = work(pk, self._records[1], t, clear)
+                    break
+                except _Overflow:
+                    pk = _Packing(self.order, 2 * pk.width)
+            yield out
+
+    def _remainder(self, pk, records, terms, clear):
+        """The remainder of packed raw terms as a term map of field values."""
         kernel = self._domain
-
-        def rework(pk):
-            if pk is not self._records[0]:
-                self._records = pk, [pk.record(g.terms, kernel) for g in self._gb]
-            return work(*self._records, *kernel.enter(pk.pack, f.terms))
-
-        return _widening(pk if width <= pk.width else _Packing(self.order, width), rework)[1]
+        return kernel.values(_reduce(terms, records, pk.guard, kernel.submul), clear, pk.unpack)
 
     def normal_form(self, f):
         """Remainder of multivariate division by the reduced basis;
         zero exactly for ideal members."""
-        def work(pk, records, t, clear):
-            kernel = self._domain
-            return kernel.values(_reduce(t, records, pk.guard, kernel.submul), clear, pk.unpack)
+        return Polynomial(self.ring, next(self._fitted([f], self._remainder)))
 
-        return Polynomial(self.ring, self._fitted(f, work))
+    def members(self, items):
+        """Whether each polynomial or exponent tuple of items lies in the ideal,
+        yielded lazily; each stops at its first remainder term, unpacking none."""
+        submul = self._domain.submul
+        return self._fitted(items, lambda pk, records, t, _: next(
+            _reduce(t, records, pk.guard, submul), None) is None)
 
     def contains(self, f):
-        """Membership, stopping at the first remainder term; nothing unpacks."""
-        return not self._fitted(f, lambda pk, records, t, _: next(
-            _reduce(t, records, pk.guard, self._domain.submul), None))
+        """Membership of one polynomial, ``members``' one-item case."""
+        return next(self.members([f]))
 
-    def _derivatives_in(self, f, n, orders):
-        """Whether every d^beta f with |beta| < n and |beta| in orders lies
-        in the ideal, over characteristic 0 (where e * c is nonzero for a
-        nonzero c): the walk behind the classical differential power.  The
-        d^beta f come by |beta|, each d_j of its parent on the packed raw
-        terms the basis reduces against; a child of d_i g is d_j g for
-        j >= i, so each beta comes once.  Zero derivatives prune, and the
-        first that has a remainder term (as ``contains`` reads it) ends the
-        walk."""
+    def _derivatives_in(self, items, n, orders):
+        """Yield, for each polynomial or exponent tuple f of items, whether
+        every d^beta f with |beta| < n and |beta| in orders lies in the ideal,
+        over characteristic 0 (where e * c is nonzero for a nonzero c): the
+        walk behind the classical differential power.  The d^beta f come by
+        |beta|, each d_j of its parent on the packed raw terms the basis
+        reduces against; a child of d_i g is d_j g for j >= i, so each beta
+        comes once.  Zero derivatives prune, and the first that has a
+        remainder term (as ``members`` reads it) ends f's walk."""
         nvars = self.ring.nvars
+        times, submul = self._domain.times, self._domain.submul
 
         def work(pk, records, terms, _):
-            times, submul = self._domain.times, self._domain.submul
             level = [(0, terms)]  # (j of the last d_j, derivative)
             for k in range(n):
                 if k:
@@ -563,7 +584,7 @@ class Ideal:
                     return False
             return True
 
-        return self._fitted(f, work)
+        return self._fitted(items, work)
 
     def is_unit_ideal(self):
         gb = self.groebner_basis

@@ -29,6 +29,9 @@ each one partial of its parent, is ``Ideal``'s own, on the packed raw terms
 its basis reduces against; that description is only valid over
 characteristic zero, so anything else is refused rather than silently
 approximated.
+
+The chain checker's agreement verdict walks the monomials by degree, one
+``Ideal`` batch per degree and ideal, up to the first disagreeing degree.
 """
 
 import sys
@@ -166,8 +169,8 @@ def diff_power_classical_member(I, n, f):
     homogeneous of degree d, so when f is homogeneous of degree D the
     derivatives of order min(n - 1, D) decide, as those of each lower order
     have degree >= 1; f itself is still tested first, the cheap way out for
-    a nonmember.  The chain checker asks this off a rational point and
-    ``_taylor_member`` at one."""
+    a nonmember.  The chain checker's subset verdict asks this off a
+    rational point and ``_taylor_member`` at one."""
     if n < 1:
         raise ValueError("differential power requires n >= 1")
     if I.ring.field.characteristic != 0:
@@ -180,7 +183,7 @@ def diff_power_classical_member(I, n, f):
         raise ArityMismatchError(f"expected {f.ring.nvars} exponents, got {I.ring.nvars}")
     degrees = {sum(m) for m in f.terms}
     orders = (0, min(n - 1, *degrees)) if len(degrees) == 1 else range(n)
-    return I._derivatives_in(f, n, orders)
+    return next(I._derivatives_in([f], n, orders))
 
 
 def diff_power_classical_graded(I, n, degree_bound):
@@ -443,8 +446,16 @@ def chain_check(p, n, agreement_bound=None):
         report.verdicts.append(Verdict(inner_name, VERDICT_SUBSET, "classical", ok))
         if agreement_bound is not None:
             one = ring.field.one()
-            monomials = (Polynomial(ring, {m: one}) for m in monomials_up_to(ring.nvars, agreement_bound))
-            witness = next((f for f in monomials if inner.contains(f) != member(f)), None)
+            for d in range(agreement_bound + 1):  # one batch per ideal per degree
+                monos = monomials_of_degree(ring.nvars, d)
+                if p.kind == RATIONAL_POINT:
+                    classical = (member(Polynomial(ring, {m: one})) for m in monos)
+                else:  # the orders diff_power_classical_member walks for a form of degree d
+                    classical = p.ideal._derivatives_in(monos, n, (0, min(n - 1, d)))
+                pairs = zip(monos, inner.members(monos), classical)
+                witness = next((Polynomial(ring, {m: one}) for m, a, b in pairs if a != b), None)
+                if witness is not None:
+                    break
             note = f"all monomials of degree <= {agreement_bound}"
             report.verdicts.append(
                 Verdict(inner_name, VERDICT_AGREE, "classical", witness is None, witness, note=note))

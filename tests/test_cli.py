@@ -1,7 +1,12 @@
 import json
+import resource
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import noethops
 from noethops.cli import EXAMPLE_SCRIPTS, main, parse_script, run
 from noethops.errors import ParseError, UndeclaredNameError
 from noethops.fields import GF, QQ, RatFuncField
@@ -391,6 +396,44 @@ def test_exit_code_contract(tmp_path, capsys, text, code, fields):
             assert entry[key].startswith(value)
         else:
             assert entry[key] == value
+
+
+def test_agreement_walk_stops_at_the_first_disagreeing_degree(tmp_path):
+    # x*y disagrees first at y^2, in degree 2: the walk must get there without
+    # listing every monomial up to the bound.  The child's address space is
+    # capped, so a walk that builds them fails fast instead of filling memory.
+    path = tmp_path / "huge-bound.ca"
+    path.write_text("field QQ; ring [x, y]; prime c = x*y : witness x; "
+                    "check-zn c 2 bound 99999999999999;")
+    cap = 1 << 30
+    proc = subprocess.run(
+        [sys.executable, "-m", "noethops.cli", "run", str(path), "--json"],
+        capture_output=True, text=True, timeout=60,
+        env={"PYTHONPATH": str(Path(noethops.__file__).parents[1])},
+        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (cap, cap)),
+    )
+    assert proc.returncode == 1, proc.stderr
+    verdict = json.loads(proc.stdout)["commands"][0]["verdicts"][-1]
+    assert verdict == {"lhs": "symbolic", "relation": "agrees-on-monomials", "rhs": "classical",
+                       "holds": False, "witness": "y^2",
+                       "note": "all monomials of degree <= 99999999999999"}
+
+
+def test_a_command_out_of_memory_is_unsupported(tmp_path, capsys, monkeypatch):
+    def exhausted(*args, **kwargs):
+        raise MemoryError
+
+    monkeypatch.setattr("noethops.cli.chain_check", exhausted)
+    path = tmp_path / "memory.ca"
+    path.write_text("field QQ; ring [x, y]; prime m = x, y : point (0, 0); "
+                    "check-zn m 2; sympow m 2;")
+    assert main(["run", str(path), "--json"]) == 3
+    captured = capsys.readouterr()
+    assert "Traceback" not in captured.err
+    report = json.loads(captured.out)
+    assert [(e["status"], e.get("error")) for e in report["commands"]] == [
+        ("unsupported", "out of memory"), ("ok", None)]
+    assert report["status"] == {"errors": 0, "unsupported": 1, "failed_assertions": 0, "exit_code": 3}
 
 
 def test_main_examples(capsys):

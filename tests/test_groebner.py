@@ -21,7 +21,7 @@ from noethops.groebner import (
     intersect,
     saturate,
 )
-from noethops.poly import PolyRing, monomial_div, monomials_up_to
+from noethops.poly import Polynomial, PolyRing, monomial_div, monomials_up_to
 
 from _oracles import TruncatedMembershipOracle, lcm, leading_monomial, textbook_compare
 from conftest import count_buchberger_runs, random_nonzero, random_nonzero_poly, random_poly
@@ -469,6 +469,66 @@ def test_contains_agrees_with_normal_form(field):
             J.contains(alien)
         with pytest.raises(IncompatibleFieldError):
             J.normal_form(alien)
+
+
+@pytest.mark.parametrize("field", [QQ, GF(32003), RatFuncField(GF(3), "t")],
+                         ids=["QQ", "GF(32003)", "F3(t)"])
+def test_a_batch_read_equals_one_item_reads(field):
+    # one packing fitted to the batch answers as a call per item does
+    rng = random.Random(f"batch/{field}")
+    ring = PolyRing(field, ["x", "y", "z"])
+    for _ in range(3):
+        gens = [random_nonzero_poly(ring, rng, max_degree=3, max_terms=3) for _ in range(3)]
+        I = Ideal(ring, gens)
+        members = [sum((random_poly(ring, rng, max_degree=2) * g for g in gens), ring.zero())
+                   for _ in range(3)]
+        polys = members + [random_poly(ring, rng, max_degree=4) for _ in range(5)]
+        for batch in (polys, monomials_up_to(3, 4), polys[:3] + [(1, 2, 0), (0, 0, 5)]):
+            one_item = [ring.monomial(f) if isinstance(f, tuple) else f for f in batch]
+            assert list(I.members(batch)) == [I.contains(f) for f in one_item]
+            assert [Polynomial(ring, t) for t in I._fitted(batch, I._remainder)] == [
+                I.normal_form(f) for f in one_item]
+            # the walk multiplies by exponents, so it needs e * c nonzero:
+            # characteristic 0, or one above every exponent, as 32003 is
+            for n, orders in ((2, range(2)), (3, (0, 2))) if field.characteristic != 3 else ():
+                assert list(I._derivatives_in(batch, n, orders)) == [
+                    next(I._derivatives_in([f], n, orders)) for f in one_item]
+
+
+@pytest.mark.parametrize("field", [QQ, GF(32003), RatFuncField(GF(3), "t")],
+                         ids=["QQ", "GF(32003)", "F3(t)"])
+def test_a_batch_item_that_overflows_widens_once(field, monkeypatch):
+    # every input exponent fits 16-bit fields, but x^4 reduces to y^32768,
+    # which sets a guard bit: that item is redone at 32 bits, and the items
+    # after it keep the wider packing
+    R = PolyRing(field, ["x", "y"])
+    I = Ideal(R, [R.parse("x - y^8192")], MonomialOrder.lex(R))
+    batch = [(2, 0), (4, 0), (1, 0), R.parse("x*y - y^8193"), R.parse("x^4 + y")]
+    fresh = Ideal(R, I.generators, I.order)
+    expected = [fresh.normal_form(R.monomial(f) if isinstance(f, tuple) else f) for f in batch]
+    assert I._packed_basis()[0].width == 16
+    packings, Packing = [], groebner._Packing
+    monkeypatch.setattr(groebner, "_Packing", lambda *args: packings.append(args) or Packing(*args))
+    widths = [(Polynomial(R, t), I._packed_basis()[0].width) for t in I._fitted(batch, I._remainder)]
+    assert widths == [(f, 16 if i < 1 else 32) for i, f in enumerate(expected)]
+    assert packings == [(I.order, 32)]
+    assert list(I.members(batch)) == [False, False, False, True, False]
+    assert packings == [(I.order, 32)]
+
+
+def test_next_over_a_batch_computes_only_its_first_item(monkeypatch):
+    I = twisted_cubic()
+    I.groebner_basis
+    reductions = []
+    reduce = groebner._reduce
+    monkeypatch.setattr(groebner, "_reduce", lambda *args: reductions.append(args) or reduce(*args))
+    x, y, z, w = R4.gens()
+    assert next(I.members([x * z - y**2, x, y])) and len(reductions) == 1
+    reductions.clear()
+    assert not all(I.members([x, y, z * w - y])) and len(reductions) == 1
+    reductions.clear()
+    walk = I._derivatives_in([(1, 0, 0, 0), (0, 1, 1, 0)], 2, range(2))
+    assert not next(walk) and len(reductions) == 1
 
 
 def test_ideal_with_basis_survives_pickle():
